@@ -29,7 +29,7 @@ PPROF_PKG ?= .
 
 .PHONY: build test vet fmt fmt-check bench bench-json bench-compare \
 	pprof-cpu pprof-alloc cover-check tidy-check \
-	failure-race service-race chunk-race stream-race adapt-race failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
+	stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
 
 build:
@@ -38,35 +38,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Focused race-detector pass over the failure/re-routing paths (also
-# covered by `test`, kept separate so CI reports them distinctly).
-failure-race:
-	$(GO) test -race -run 'Failure|Reroute|Partial|Tree' ./internal/cluster ./internal/iostrat
-
-# Focused race-detector pass over the multi-tenant service: concurrent
-# admission, the 4-tenant smoke, shared-broker accounting, eviction.
-# (internal/cluster's service files also sit under cover-check's floor.)
-service-race:
-	$(GO) test -race -run 'Service' ./internal/cluster ./internal/iostrat
-
-# Focused race-detector pass over the dedup chunk store: refcount GC
-# sweeps racing tenant writes and evictions, concurrent retain/release,
-# the restore matrix over the dedup stack.
-chunk-race:
-	$(GO) test -race -run 'Chunk|Dedup' ./internal/cluster ./internal/storage/chunk
-
-# Focused race-detector pass over the streaming pipeline: publisher vs
-# slow-consumer policies, subscriber churn during root failure, the
-# streaming hook racing the store write (see docs/STREAMING.md).
-stream-race:
-	$(GO) test -race -run 'Stream|Subscribe|Publish|InSitu' ./internal/storage ./internal/cluster ./internal/iostrat
-
-# Focused race-detector pass over mid-run tree re-formation: the epoch
-# fence racing concurrent writers, streaming subscribers, and failure
-# overlays, plus the scenario-driven DES adaptation paths (see
-# docs/SCENARIOS.md).
-adapt-race:
-	$(GO) test -race -run 'Adapt|Reform|Scenario' ./internal/cluster ./internal/iostrat
+# Repeat the concurrency tests 50 times, with and without the race
+# detector: a 1-in-2 interleaving flake fails here instead of landing.
+# (`test` already runs every test once under -race.)
+stress:
+	$(GO) test -race -count=50 -run 'Failure|Reform|Reroute|Service|Broker' ./internal/cluster ./internal/storage
+	$(GO) test -count=50 -run 'Failure|Reform|Reroute|Service|Broker' ./internal/cluster ./internal/storage
 
 # Experiment smoke matrix — one target per experiment so a broken
 # experiment names itself in the CI job list (ci.yml fans these out via
@@ -217,5 +194,5 @@ cover-check:
 tidy-check:
 	$(GO) mod tidy -diff
 
-ci: build vet fmt-check tidy-check docs-check test failure-race service-race chunk-race stream-race adapt-race cover-check bench \
+ci: build vet fmt-check tidy-check docs-check test stress cover-check bench \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 fuzz-smoke

@@ -1,124 +1,25 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
-
-// treeEpoch binds one aggregation topology to the iteration range it
-// routes: from fromIter until the next epoch's fromIter. Failures
-// mutate every epoch's overlay (the corpse is dead in all of them);
-// re-formation only ever appends epochs.
-type treeEpoch struct {
-	fromIter int
-	tree     Tree
-}
-
-// curTree returns the current (latest) epoch's tree. Callers hold c.mu.
-func (c *Cluster) curTree() *Tree { return &c.epochs[len(c.epochs)-1].tree }
-
-// epochIndexFor returns the index of the epoch routing iteration it.
-// Callers hold c.mu.
-func (c *Cluster) epochIndexFor(it int) int {
-	for i := len(c.epochs) - 1; i > 0; i-- {
-		if c.epochs[i].fromIter <= it {
-			return i
-		}
-	}
-	return 0
-}
-
-// treeFor returns the tree routing iteration it. Callers hold c.mu.
-func (c *Cluster) treeFor(it int) *Tree {
-	return &c.epochs[c.epochIndexFor(it)].tree
-}
-
-// noteRouted records that a routing decision was made for iteration it,
-// fencing future re-formations past it. Callers hold c.mu.
-func (c *Cluster) noteRouted(it int) {
-	if it > c.maxRouted {
-		c.maxRouted = it
-	}
-}
-
-// parentsUnion returns the distinct parents of node across all epochs,
-// ascending. Callers hold c.mu.
-func (c *Cluster) parentsUnion(node int) []int {
-	seen := map[int]bool{}
-	for i := range c.epochs {
-		if p, ok := c.epochs[i].tree.Parent(node); ok {
-			seen[p] = true
-		}
-	}
-	return sortedCovers(seen)
-}
-
-// childrenUnion returns the distinct live children of node across all
-// epochs, ascending. Callers hold c.mu.
-func (c *Cluster) childrenUnion(node int) []int {
-	seen := map[int]bool{}
-	for i := range c.epochs {
-		for _, k := range c.epochs[i].tree.Children(node) {
-			seen[k] = true
-		}
-	}
-	return sortedCovers(seen)
-}
-
 // Reform re-forms the aggregation forest mid-run with a new fanout and
 // root count, returning the first iteration the new topology routes.
-// Iterations below that fence keep flowing through their original
-// epoch — parent edges, coverage requirements, root sets and broker
-// windows included — so no in-flight mailbox entry is stranded or
+// Every iteration already delivered to any node keeps flowing through
+// its original epoch — parent edges, coverage requirements, root sets
+// and broker windows included — so no pending merge is stranded or
 // double-stored; acknowledged data is never lost to a re-formation.
 // Nodes already killed by the failure schedule stay dead in the new
 // epoch. Safe to call concurrently with client writes; it composes
 // with failure re-routing and streaming hooks (the stream hub's
 // sequence numbers are cluster-wide and simply continue).
 func (c *Cluster) Reform(fanout, roots int) (fromIter int, err error) {
-	if fanout < 2 {
-		return 0, fmt.Errorf("cluster: Reform fanout %d < 2", fanout)
-	}
-	if roots < 1 {
-		return 0, fmt.Errorf("cluster: Reform roots %d < 1", roots)
-	}
 	c.mu.Lock()
-	nt := NewTree(len(c.nodes), fanout, roots)
-	var dead []int
-	for d, f := range c.failed {
-		if f {
-			dead = append(dead, d)
-		}
-	}
-	sort.Ints(dead)
-	for _, d := range dead {
-		nt.Fail(d)
-	}
-	if len(nt.Roots()) == 0 {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: Reform with every node dead")
-	}
-	fromIter = c.maxRouted + 1
-	last := &c.epochs[len(c.epochs)-1]
-	if last.fromIter >= fromIter {
-		// The previous epoch never routed anything: replace it in place
-		// rather than stacking unused epochs.
-		fromIter = last.fromIter
-		last.tree = nt
-	} else {
-		c.epochs = append(c.epochs, treeEpoch{fromIter: fromIter, tree: nt})
-	}
-	c.failEpoch++
-	c.stats.TreeReforms++
-	// Wake every live aggregator: an iteration already pending under
-	// the new epoch may satisfy its (possibly smaller) new coverage
-	// requirement immediately.
-	for i, a := range c.aggs {
-		if !c.failed[i] && !c.exited[i] {
-			a.post(aggMsg{poke: true})
-		}
+	fromIter, err = c.agg.Reform(fanout, roots)
+	if err == nil {
+		c.stats.TreeReforms++
 	}
 	c.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	c.cc.Logger.Printf("cluster: re-formed tree from iteration %d (fanout %d, %d roots)",
 		fromIter, fanout, roots)
 	return fromIter, nil
@@ -129,7 +30,7 @@ func (c *Cluster) Reform(fanout, roots int) (fromIter int, err error) {
 func (c *Cluster) Epochs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.epochs)
+	return c.agg.Epochs()
 }
 
 // RecommendTopology picks an aggregation forest shape — fanout and
@@ -144,10 +45,10 @@ func (c *Cluster) Epochs() int {
 //   - stream concurrency on the file system — a slow or contended PFS
 //     wants fewer, larger sequential streams per the paper's §IV.
 //
-// The model mirrors the DES cost faces (serialization per hop, stripe
-// windows per root, sequential-efficiency loss once streams share a
-// target) closely enough to rank candidates; the experiment E11 checks
-// the ranking against the simulated outcome.
+// The model prices what the DES charges (serialization per hop,
+// StripeWindow targets per root, sequential-efficiency loss once
+// streams share a target) closely enough to rank candidates; the
+// experiment E11 checks the ranking against the simulated outcome.
 func RecommendTopology(nodes int, nodeBytes, nicBW, streamBW float64, targets int) (fanout, roots int) {
 	if nodes <= 1 {
 		return 2, 1
@@ -165,7 +66,7 @@ func RecommendTopology(nodes int, nodeBytes, nicBW, streamBW float64, targets in
 	fanout, roots = 2, 1
 	for r := 1; r <= nodes; r *= 2 {
 		sub := (nodes + r - 1) / r
-		stripes := adaptStripes(targets, r)
+		stripes := StripeWindow(targets, r)
 		// Per-root write time: the subtree's bytes over the root's
 		// stripe window, derated once the forest's streams outnumber
 		// the targets (sequential efficiency loss per shared OST).
@@ -203,10 +104,13 @@ func aggChainTime(s, fanout int, nodeBytes, nicBW float64) float64 {
 	return t
 }
 
-// adaptStripes mirrors the DES face's per-root stripe window sizing:
-// divide the targets across the roots, clamped to [8, 64] and to the
-// target count itself.
-func adaptStripes(targets, roots int) int {
+// StripeWindow is how many storage targets each of roots root streams
+// is striped over: wide enough that the few root streams can saturate
+// the target array while staying "few large streams" — the targets
+// divided across the roots, clamped to [8, 64] and to the target count
+// itself. The DES write and restart-read paths and RecommendTopology
+// all size windows with it.
+func StripeWindow(targets, roots int) int {
 	s := targets / (2 * roots)
 	if s < 8 {
 		s = 8
@@ -216,9 +120,6 @@ func adaptStripes(targets, roots int) int {
 	}
 	if s > targets {
 		s = targets
-	}
-	if s < 1 {
-		s = 1
 	}
 	return s
 }

@@ -106,8 +106,8 @@ func TestReformMidRunCompleteness(t *testing.T) {
 
 // TestAdaptReformRaceWithStreaming re-forms the tree continuously while
 // every client writes concurrently and a streaming subscriber consumes
-// merged batches — the race the epoch fence and the maxRouted high-water
-// mark must survive (run under -race by `make adapt-race`).
+// merged batches — the race the epoch fence must survive (repeated
+// under -race by `make stress`).
 func TestAdaptReformRaceWithStreaming(t *testing.T) {
 	const nodes, clients, iters = 10, 2, 8
 	store := storage.NewMemory(nil, 4, 1e9)

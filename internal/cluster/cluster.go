@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/buf"
@@ -141,29 +140,21 @@ type Cluster struct {
 	aggs       []*aggregator
 	wg         sync.WaitGroup
 
-	// mu guards the tree epochs (failures re-route them and Reform
-	// appends new ones mid-run), the stats and the exited flags. Each
-	// aggregator's mailbox has its own lock (aggregator.mboxMu) so
-	// concurrent leaf deliveries do not contend on one cluster-wide
-	// mutex; routing lookups and the posts they decide still happen
-	// while c.mu is held, so a re-route or re-formation stays atomic
-	// with respect to in-flight deliveries. Lock order: c.mu before
-	// mboxMu, never the reverse.
-	mu sync.Mutex
-	// epochs is the topology history, ascending by fromIter; the last
-	// entry is the current tree. Iteration k routes through treeFor(k)
-	// for its whole life — parent lookup, coverage requirement, root
-	// set, broker window — so re-formation never strands an in-flight
-	// iteration (see Reform in adapt.go).
-	epochs    []treeEpoch
-	maxRouted int // highest iteration any routing decision was made for
-	failEpoch int // bumped by killNode and Reform; invalidates coverage caches
+	// mu guards the aggregation core, the stats and the completion
+	// bookkeeping. Every merge moves through the core under mu: a
+	// forwarder delivers its node's batch, an aggregator releases what
+	// the core completed and delivers forwards at once, a death drains
+	// the corpse in the same critical section. No batch is ever in
+	// flight outside the core, so a death or re-formation is atomic
+	// with respect to every merge. Each aggregator's mailbox has its own
+	// lock (aggregator.mboxMu) and only carries wake-ups. Lock order: mu
+	// before mboxMu, never the reverse.
+	mu        sync.Mutex
+	agg       *Aggregation[*Batch]
 	stats     Stats
 	covered   map[int]int  // iteration → origin nodes stored at roots
 	partials  map[int]bool // iterations stored below full live coverage
 	completed map[int]bool // iterations done at every live root
-	failed    []bool       // node → killed by the schedule
-	exited    []bool       // node → aggregator goroutine returned
 	errs      []error
 	doneRoots map[int]int // iteration → roots that stored it
 	iterDone  *sync.Cond
@@ -205,28 +196,19 @@ func newTenantCluster(cc ClusterConfig, spec RunSpec, tenant int) (*Cluster, err
 		spec:       spec,
 		tenant:     tenant,
 		holderBase: tenantHolderBase(tenant),
-		epochs:     []treeEpoch{{tree: NewTree(cc.Platform.Nodes, cc.Fanout, cc.Roots)}},
-		maxRouted:  -1,
-		nodes:      make([]*core.Node, cc.Platform.Nodes),
-		aggs:       make([]*aggregator, cc.Platform.Nodes),
-		covered:    map[int]int{},
-		partials:   map[int]bool{},
-		completed:  map[int]bool{},
-		failed:     make([]bool, cc.Platform.Nodes),
-		exited:     make([]bool, cc.Platform.Nodes),
-		doneRoots:  map[int]int{},
+		agg: NewAggregation(cc.Platform.Nodes, cc.Fanout, cc.Roots,
+			func(into, from *Batch) *Batch { into.merge(from); return into }),
+		nodes:     make([]*core.Node, cc.Platform.Nodes),
+		aggs:      make([]*aggregator, cc.Platform.Nodes),
+		covered:   map[int]int{},
+		partials:  map[int]bool{},
+		completed: map[int]bool{},
+		doneRoots: map[int]int{},
 	}
 	c.iterDone = sync.NewCond(&c.mu)
 
 	for i := range c.aggs {
-		a := &aggregator{
-			c:       c,
-			node:    i,
-			pending: map[int]*pendingIter{},
-			eofFrom: map[int]bool{},
-			stored:  map[int]bool{},
-			written: map[int]bool{},
-		}
+		a := &aggregator{c: c, node: i, written: map[int]bool{}}
 		a.avail = sync.NewCond(&a.mboxMu)
 		c.aggs[i] = a
 	}
@@ -265,7 +247,7 @@ func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (c *Cluster) Tree() Tree {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.curTree().Clone()
+	return c.agg.Tree()
 }
 
 // Nodes returns the number of nodes.
@@ -334,18 +316,17 @@ func (c *Cluster) objectName(node, it int) string {
 }
 
 // rootTargets maps a root to its broker target window for one
-// iteration: one BrokerStripes-wide window per aggregation tree,
-// indexed by the subtree the root leads in the iteration's epoch — a
-// promoted root inherits the dead root's window, mirroring the DES
-// side's rootOrdinal inheritance, and a re-formed epoch gets its own
-// window layout without disturbing older iterations'.
+// iteration: one BrokerStripes-wide window per root ordinal of the
+// iteration's epoch — a promoted root inherits the dead root's window,
+// and a re-formed epoch gets its own window layout without disturbing
+// older iterations'.
 func (c *Cluster) rootTargets(node, it int) []int {
 	stripes := c.cc.BrokerStripes
 	if stripes < 1 {
 		stripes = 1
 	}
 	c.mu.Lock()
-	idx := c.treeFor(it).SubtreeIndex(node)
+	idx := c.agg.RootOrdinal(node, it)
 	c.mu.Unlock()
 	targets := make([]int, stripes)
 	for i := range targets {
@@ -368,7 +349,7 @@ func (c *Cluster) Errors() []error {
 func (c *Cluster) WaitIteration(it int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.completed[it] && len(c.treeFor(it).Roots()) > 0 {
+	for !c.completed[it] && len(c.agg.Roots(it)) > 0 {
 		c.iterDone.Wait()
 	}
 }
@@ -383,9 +364,7 @@ func (c *Cluster) Shutdown() error {
 		if err := n.Shutdown(); err != nil && first == nil {
 			first = fmt.Errorf("node %d: %w", i, err)
 		}
-		c.mu.Lock()
-		c.postTo(i, aggMsg{eof: true, from: i})
-		c.mu.Unlock()
+		c.aggs[i].wake(true)
 	}
 	c.wg.Wait()
 	c.mu.Lock()
@@ -409,41 +388,48 @@ func (c *Cluster) fail(err error) {
 // into the lost-blocks accounting — returning their pooled payload
 // buffers — and then shuts the nodes down. Safe to call at any point,
 // including concurrently with client writes; it is how a Service
-// enforces an eviction.
+// enforces an eviction. Every node dies in one critical section, so no
+// survivor stores anything in between; an evicted node owes no
+// iteration, so its death is recorded at iteration 0.
 func (c *Cluster) Cancel() error {
+	c.mu.Lock()
 	for i := range c.nodes {
-		c.killNode(i, 0)
+		c.kill(i, 0)
 	}
+	c.mu.Unlock()
+	c.iterDone.Broadcast()
+	c.cc.Logger.Printf("cluster: cancelled, every node killed")
 	return c.Shutdown()
 }
 
-// killNode executes one scheduled death: atomically re-route the tree,
-// then tell the dead node's aggregator to flush and every survivor to
-// re-check completion against the shrunken coverage requirements.
-// blocksDropped are the dead node's own blocks for the triggering
-// iteration — the mid-iteration loss. Repeat calls (every later
-// iteration of the dead node) only account further dropped blocks.
-func (c *Cluster) killNode(d, blocksDropped int) {
+// killNode executes one scheduled death: node d handed over every
+// iteration below at. blocksDropped are the dead node's own blocks for
+// the triggering iteration — the mid-iteration loss. Repeat calls
+// (every later iteration of the dead node) only account further
+// dropped blocks.
+func (c *Cluster) killNode(d, at, blocksDropped int) {
 	c.mu.Lock()
 	c.stats.BlocksLost += blocksDropped
-	if c.failed[d] {
-		c.mu.Unlock()
-		return
+	edges, ok := c.kill(d, at)
+	c.mu.Unlock()
+	if ok {
+		c.iterDone.Broadcast()
+		c.cc.Logger.Printf("cluster: node %d failed, %d edges re-routed", d, edges)
 	}
-	c.failed[d] = true
-	// The death applies to every epoch: an in-flight iteration routing
-	// through an older tree must re-route around the corpse too. Edge
-	// accounting reports the current epoch's re-routing.
-	var edges []RerouteEdge
-	for i := range c.epochs {
-		e := c.epochs[i].tree.Fail(d)
-		if i == len(c.epochs)-1 {
-			edges = e
-		}
+}
+
+// kill records node d's death in the core, which re-routes every epoch
+// and hands the corpse's pending merges to their drain targets in this
+// critical section; every survivor then re-checks completion
+// (requirements shrink for iterations >= at). It returns the re-routed
+// edge count, ok=false when d was already dead. Callers hold c.mu.
+func (c *Cluster) kill(d, at int) (edges int, ok bool) {
+	moved, drained, ok := c.agg.Die(d, at)
+	if !ok {
+		return 0, false
 	}
-	c.failEpoch++
 	c.stats.NodesFailed++
-	c.stats.ReroutedEdges += len(edges)
+	c.stats.ReroutedEdges += len(moved)
 	if c.cc.Broker != nil {
 		// A dead root must not strand a write token for the rest of the
 		// run: free what it holds, cancel what it queued for. The count
@@ -451,32 +437,53 @@ func (c *Cluster) killNode(d, blocksDropped int) {
 		// HolderReleases tally mixes in other tenants' reclaims.
 		c.stats.TokensReclaimed += c.cc.Broker.ReleaseHolder(c.holderBase + d)
 	}
-	c.postTo(d, aggMsg{die: true})
-	for i, a := range c.aggs {
-		if i != d && !c.exited[i] {
-			a.post(aggMsg{poke: true})
-		}
+	c.route(drained)
+	for _, a := range c.aggs {
+		a.wake(false)
 	}
 	// Iterations waiting on the dead root's store may be complete now.
 	for it := range c.doneRoots {
 		c.checkIterComplete(it)
 	}
-	c.mu.Unlock()
-	c.iterDone.Broadcast()
-	c.cc.Logger.Printf("cluster: node %d failed, %d edges re-routed", d, len(edges))
+	return len(moved), true
 }
 
-// postTo delivers a message to node i's aggregator, counting a batch as
-// lost when that aggregator already exited. Callers hold c.mu.
-func (c *Cluster) postTo(i int, m aggMsg) {
-	if c.exited[i] {
-		if m.batch != nil {
-			c.stats.BlocksLost += len(m.batch.Blocks)
-			m.batch.ReleaseBuffers()
-		}
+// deliver hands a batch to the core at node to (relayed on when to is
+// dead) and wakes the aggregator it lands at; a batch with nowhere to
+// land is lost. Callers hold c.mu.
+func (c *Cluster) deliver(to int, b *Batch, covers []int) {
+	at, ok := c.agg.Deliver(to, b.Iteration, b, covers)
+	if !ok {
+		c.lose(b)
 		return
 	}
-	c.aggs[i].post(m)
+	c.aggs[at].wake(false)
+}
+
+// lose accounts a batch that will never reach a root object and
+// recycles its buffers. Callers hold c.mu.
+func (c *Cluster) lose(b *Batch) {
+	c.stats.BlocksLost += len(b.Blocks)
+	b.ReleaseBuffers()
+}
+
+// route acts on merges the core released: forwards are delivered at
+// once, losses accounted, and stores returned for the root to write
+// outside the lock. Callers hold c.mu.
+func (c *Cluster) route(emits []Emit[*Batch]) (stores []Emit[*Batch]) {
+	for _, e := range emits {
+		switch e.Kind {
+		case EmitForward:
+			c.stats.BatchesForwarded++
+			c.stats.BytesForwarded += int64(e.Payload.Bytes())
+			c.deliver(e.To, e.Payload, e.Covers)
+		case EmitStore:
+			stores = append(stores, e)
+		default:
+			c.lose(e.Payload)
+		}
+	}
+	return stores
 }
 
 // noteRootStored records one root having stored an iteration. Callers
@@ -491,7 +498,7 @@ func (c *Cluster) noteRootStored(it int) {
 // left completes nothing — WaitIteration observes that state directly
 // instead. Callers hold c.mu.
 func (c *Cluster) checkIterComplete(it int) {
-	roots := len(c.treeFor(it).Roots())
+	roots := len(c.agg.Roots(it))
 	if roots > 0 && !c.completed[it] && c.doneRoots[it] >= roots {
 		c.completed[it] = true
 		c.stats.IterationsCompleted++
@@ -513,7 +520,7 @@ func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 	c := f.agg.c
 	refs := ctx.Index.Iteration(ev.Iteration)
 	if at, ok := c.spec.Failures.At(f.agg.node); ok && ev.Iteration >= at {
-		c.killNode(f.agg.node, len(refs))
+		c.killNode(f.agg.node, ev.Iteration, len(refs))
 		return nil
 	}
 	b := &Batch{Iteration: ev.Iteration}
@@ -529,288 +536,99 @@ func (f *forwarder) OnEvent(ctx *core.PluginContext, ev core.Event) error {
 			Data: buf.Clone(ctx.BlockBytes(ref)),
 		})
 	}
-	f.agg.post(aggMsg{batch: b, covers: []int{f.agg.node}, from: f.agg.node})
+	c.mu.Lock()
+	c.deliver(f.agg.node, b, []int{f.agg.node})
+	c.mu.Unlock()
 	return nil
 }
 
-// aggMsg is one message into an aggregator's mailbox: a batch tagged
-// with the origin nodes it covers, a producer's end-of-stream marker, a
-// death order, or a poke to re-check completion after a re-route.
-type aggMsg struct {
-	batch  *Batch
-	covers []int // origin node ids whose data the batch carries
-	from   int   // sending node (producer identity for eof)
-	eof    bool
-	die    bool
-	poke   bool
-}
-
-// pendingIter accumulates one iteration's contributions at a node.
-type pendingIter struct {
-	batch   *Batch
-	covered map[int]bool // origin nodes merged so far
-}
-
-// aggregator is one node's position in the aggregation tree: it merges
-// the node's own iteration batches with its children's and forwards
-// the result upward, or stores it when the node is a root. An
-// iteration is complete when its coverage set spans the node's live
-// subtree — a requirement that shrinks when nodes die, which is what
-// lets the forest re-route around failures without deadlocking.
+// aggregator is one node's driver goroutine: woken whenever the core
+// may hold something for its node, it forwards the merges the core
+// completed and writes the ones it must store as a root. When its own
+// stream and every child's have ended it flushes what is left.
 type aggregator struct {
 	c    *Cluster
 	node int
 
-	// mboxMu guards this aggregator's mailbox alone, so deliveries to
-	// different nodes never contend with each other (c.mu used to guard
-	// every mailbox and was the aggregation layer's hottest lock).
-	// Acquired after c.mu when both are needed.
+	// mboxMu guards the wake-up flags alone, so waking different nodes
+	// never contends on c.mu. Acquired after c.mu when both are needed.
 	mboxMu sync.Mutex
 	avail  *sync.Cond // on mboxMu
-	mbox   []aggMsg   // unbounded so posts never block
+	woken  bool       // something may have changed since the last poll
+	eof    bool       // the node's own producer stream ended
 
-	// Goroutine-local state (only touched by run()).
-	pending  map[int]*pendingIter
-	eofFrom  map[int]bool
-	stored   map[int]bool // iterations this root has stored
-	written  map[int]bool // iterations whose object actually landed (retention)
-	dead     bool
-	reqCache map[int][]int // epoch index → memoized live subtree, valid while reqEpoch holds
-	reqEpoch int
+	// written is goroutine-local (only touched by run()): iterations
+	// whose object actually landed, for retention.
+	written map[int]bool
 }
 
-// post enqueues a message. Safe with or without c.mu held (routing
-// callers hold it; the forwarder does not).
-func (a *aggregator) post(m aggMsg) {
+// wake asks the aggregator to poll the core again; eof additionally
+// marks its node's producer stream ended. Safe with or without c.mu.
+func (a *aggregator) wake(eof bool) {
 	a.mboxMu.Lock()
-	a.mbox = append(a.mbox, m)
+	a.woken = true
+	a.eof = a.eof || eof
 	a.mboxMu.Unlock()
 	a.avail.Signal()
 }
 
-// recv dequeues the next message, blocking until one arrives.
-func (a *aggregator) recv() aggMsg {
+// wait blocks until woken and reports whether the stream has ended.
+func (a *aggregator) wait() (eof bool) {
 	a.mboxMu.Lock()
-	for len(a.mbox) == 0 {
+	for !a.woken {
 		a.avail.Wait()
 	}
-	m := a.mbox[0]
-	a.mbox[0] = aggMsg{}
-	a.mbox = a.mbox[1:]
+	a.woken = false
+	eof = a.eof
 	a.mboxMu.Unlock()
-	return m
-}
-
-// mboxEmpty reports whether the mailbox is drained.
-func (a *aggregator) mboxEmpty() bool {
-	a.mboxMu.Lock()
-	defer a.mboxMu.Unlock()
-	return len(a.mbox) == 0
+	return eof
 }
 
 func (a *aggregator) run() {
 	c := a.c
-	for {
-		m := a.recv()
-		switch {
-		case m.die:
-			a.die()
-		case m.eof:
-			a.eofFrom[m.from] = true
-		case m.batch != nil:
-			if a.dead {
-				// Late delivery that raced the re-route: relay it toward
-				// the drain target, coverage intact.
-				a.drainUp(m.batch, m.covers)
-				continue
-			}
-			p := a.pending[m.batch.Iteration]
-			if p == nil {
-				p = &pendingIter{
-					batch:   &Batch{Iteration: m.batch.Iteration},
-					covered: map[int]bool{},
-				}
-				a.pending[m.batch.Iteration] = p
-			}
-			p.batch.merge(m.batch)
-			for _, n := range m.covers {
-				p.covered[n] = true
+	for done := false; !done; {
+		eof := a.wait()
+		c.mu.Lock()
+		stores := c.route(c.agg.Poll(a.node))
+		// Every producer is done — the node's own stream and every child
+		// in any epoch — so flush incomplete iterations upward rather
+		// than losing them silently (partial data beats no data — the
+		// same trade the §V.C skip policy makes).
+		if done = eof && a.childrenClosed(); done {
+			stores = append(stores, c.route(c.agg.Flush(a.node))...)
+			for _, parent := range c.agg.Parents(a.node) {
+				c.aggs[parent].wake(false)
 			}
 		}
-		if !a.dead {
-			a.emitComplete()
-		}
-		if a.finished() {
-			break
+		c.mu.Unlock()
+		for _, e := range stores {
+			a.store(e)
 		}
 	}
-	if !a.dead {
-		// Every producer is done: flush incomplete iterations upward
-		// rather than losing them silently (partial data beats no data —
-		// the same trade the §V.C skip policy makes).
-		for _, it := range a.pendingIterations() {
-			p := a.pending[it]
-			delete(a.pending, it)
-			a.emit(p.batch, p.covered, true)
-		}
-	}
-	c.mu.Lock()
-	if !a.dead {
-		// The eof goes to every node that considers this one a child in
-		// any epoch — a parent from an older topology may still be
-		// waiting on it for an in-flight iteration.
-		for _, parent := range c.parentsUnion(a.node) {
-			c.postTo(parent, aggMsg{eof: true, from: a.node})
-		}
-	}
-	c.exited[a.node] = true
-	c.mu.Unlock()
 	c.wg.Done()
 }
 
-// die flushes the node's in-flight merges toward the drain target as
-// orphaned partials and switches the aggregator into relay mode.
-func (a *aggregator) die() {
-	a.dead = true
-	for _, it := range a.pendingIterations() {
-		p := a.pending[it]
-		delete(a.pending, it)
-		a.drainUp(p.batch, sortedCovers(p.covered))
-	}
-}
-
-// pendingIterations returns the pending iteration numbers ascending,
-// so flush order (and stored partial objects) is deterministic.
-func (a *aggregator) pendingIterations() []int {
-	its := make([]int, 0, len(a.pending))
-	for it := range a.pending {
-		its = append(its, it)
-	}
-	sort.Ints(its)
-	return its
-}
-
-// finished reports whether every producer this aggregator still waits
-// on has signalled end-of-stream. A dead aggregator only waits for its
-// own node's eof (delivered by Shutdown); a live one also waits for
-// every currently live child that has not already exited. The mailbox
-// must be drained too: a child that exited may still have unprocessed
-// deliveries queued here, and they must be merged before the flush.
-func (a *aggregator) finished() bool {
-	if !a.eofFrom[a.node] {
-		return false
-	}
+// childrenClosed reports whether every node that may still forward to
+// this one — its live children in any epoch — has flushed. A dead node
+// waits for nobody: its children were re-routed away. Callers hold
+// c.mu.
+func (a *aggregator) childrenClosed() bool {
 	c := a.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !a.mboxEmpty() {
-		return false
-	}
-	if a.dead {
+	if c.agg.Dead(a.node) {
 		return true
 	}
-	// Wait on the union of children across epochs: any node that might
-	// still forward an in-flight iteration here must end its stream
-	// first. The union graph stays acyclic because every tree keeps
-	// parent id < child id, re-routing included.
-	for _, k := range c.childrenUnion(a.node) {
-		if !a.eofFrom[k] && !c.exited[k] {
+	for _, k := range c.agg.Children(a.node) {
+		if !c.agg.Closed(k) {
 			return false
 		}
 	}
 	return true
 }
 
-// emitComplete emits every pending iteration whose coverage spans the
-// node's live subtree in that iteration's epoch. The subtree walks are
-// memoized per epoch — the topology only changes when a node dies or
-// the forest re-forms, both of which bump failEpoch.
-func (a *aggregator) emitComplete() {
+// store writes a merge the core released at this root.
+func (a *aggregator) store(e Emit[*Batch]) {
 	c := a.c
-	c.mu.Lock()
-	if a.reqCache == nil || a.reqEpoch != c.failEpoch {
-		a.reqCache = map[int][]int{}
-		a.reqEpoch = c.failEpoch
-	}
-	var ready []int
-	for it, p := range a.pending {
-		ei := c.epochIndexFor(it)
-		required, ok := a.reqCache[ei]
-		if !ok {
-			required = c.epochs[ei].tree.LiveSubtree(a.node)
-			a.reqCache[ei] = required
-		}
-		if CoversAll(p.covered, required) {
-			ready = append(ready, it)
-		}
-	}
-	c.mu.Unlock()
-	sort.Ints(ready)
-	for _, it := range ready {
-		p := a.pending[it]
-		delete(a.pending, it)
-		a.emit(p.batch, p.covered, false)
-	}
-}
-
-func sortedCovers(covered map[int]bool) []int {
-	covers := make([]int, 0, len(covered))
-	for n := range covered {
-		covers = append(covers, n)
-	}
-	sort.Ints(covers)
-	return covers
-}
-
-// drainUp forwards a batch toward the dead node's drain target,
-// counting it as lost when there is none.
-func (a *aggregator) drainUp(b *Batch, covers []int) {
-	c := a.c
-	c.mu.Lock()
-	c.noteRouted(b.Iteration)
-	dest, ok := c.treeFor(b.Iteration).DrainTarget(a.node)
-	if !ok {
-		c.stats.BlocksLost += len(b.Blocks)
-		b.ReleaseBuffers()
-	} else {
-		c.stats.BatchesForwarded++
-		c.stats.BytesForwarded += int64(b.Bytes())
-		c.postTo(dest, aggMsg{batch: b, covers: covers, from: a.node})
-	}
-	c.mu.Unlock()
-}
-
-// emit sends a merged batch to the parent, or stores it at a root.
-// partial marks batches flushed without full live coverage.
-func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
-	c := a.c
-	covers := sortedCovers(covered)
-	c.mu.Lock()
-	c.noteRouted(b.Iteration)
-	if c.failed[a.node] {
-		// Killed between recv and emit: the data still drains upward.
-		c.mu.Unlock()
-		a.drainUp(b, covers)
-		return
-	}
-	if parent, ok := c.treeFor(b.Iteration).Parent(a.node); ok {
-		c.stats.BatchesForwarded++
-		c.stats.BytesForwarded += int64(b.Bytes())
-		c.postTo(parent, aggMsg{batch: b, covers: covers, from: a.node})
-		c.mu.Unlock()
-		return
-	}
-	if a.stored[b.Iteration] {
-		// A straggler for an iteration this root already stored: the
-		// object is immutable, so the late blocks are lost.
-		c.stats.BlocksLost += len(b.Blocks)
-		c.mu.Unlock()
-		b.ReleaseBuffers()
-		return
-	}
-	a.stored[b.Iteration] = true
-	c.mu.Unlock()
-
+	b, covers, partial := e.Payload, e.Covers, e.Partial
 	// Cluster-wide write scheduling: claim this root's target window
 	// before touching the store, earliest iteration first, so roots of
 	// different trees — this tenant's or another's — never hit the same
@@ -832,9 +650,10 @@ func (a *aggregator) emit(b *Batch, covered map[int]bool, partial bool) {
 		})
 		if grant.Denied {
 			// Killed while queued for the token: the write never starts;
-			// the batch drains toward the re-route target instead.
-			delete(a.stored, b.Iteration)
-			a.drainUp(b, covers)
+			// the batch relays to the corpse's drain target instead.
+			c.mu.Lock()
+			c.deliver(a.node, b, covers)
+			c.mu.Unlock()
 			return
 		}
 		defer grant.Release()

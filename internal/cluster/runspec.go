@@ -41,7 +41,7 @@ type ClusterConfig struct {
 	// node never touches another tenant's tokens.
 	Broker storage.TokenBroker
 	// BrokerStripes is how many broker targets each root's write claims
-	// (default 1): the runtime mirror of the DES stripe window.
+	// (default 1): the runtime counterpart of the DES stripe window.
 	BrokerStripes int
 	// DisableManifests turns off the per-iteration manifest objects
 	// roots write alongside their data objects.

@@ -58,8 +58,8 @@ func driveDedupTenant(c *Cluster, salt int64, iters int) {
 // aged iterations into the sweeper's teeth); tenant B is evicted
 // mid-iteration. No chunk referenced by a retained manifest may ever be
 // collected: after the dust settles, A's retained window and every
-// iteration B managed to store must restore byte-identical. Run under
-// -race via the chunk-race make target.
+// iteration B managed to store must restore byte-identical. Repeated
+// under -race by `make stress`.
 func TestServiceDedupSweepEvictRace(t *testing.T) {
 	const (
 		aIters, aRetain = 8, 2

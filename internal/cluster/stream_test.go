@@ -116,7 +116,7 @@ func TestStreamingHookNeverBlocksWritePath(t *testing.T) {
 }
 
 // TestStreamSubscriberChurnDuringFailure is the churn race (`make
-// stream-race`): subscribers attach and cancel continuously while a
+// stress`): subscribers attach and cancel continuously while a
 // multi-root cluster loses a root mid-run and re-routes its subtree.
 // The run must complete and publication must keep flowing to whoever
 // is subscribed at the moment a surviving root emits.

@@ -6,9 +6,11 @@
 // payloads; tree roots issue few large sequential streams to a
 // storage.Backend and drive cluster-wide end-of-iteration hooks.
 //
-// The same Tree arithmetic also routes the discrete-event model of the
-// strategies in internal/iostrat, so simulated and runtime clusters
-// aggregate along identical topologies.
+// The aggregation rules on top of Tree — topology epochs, the failure
+// overlay, coverage-based completion, relays, drains and flushes — are
+// one clock-free state machine, Aggregation, which both the runtime
+// Cluster and the discrete-event model in internal/iostrat drive, so
+// simulated and runtime clusters aggregate identically.
 //
 // # Failure semantics
 //
@@ -20,13 +22,15 @@
 // destination their in-flight data is forwarded to — chased through any
 // later deaths.
 //
-// What a failure loses and what it keeps, at the cluster layer:
+// What a failure loses and what it keeps, at the cluster layer (the
+// death contract, see Aggregation):
 //
 //   - the dead node's own blocks from its failure iteration onward are
 //     lost (Stats.BlocksLost);
-//   - iterations already merged but not yet forwarded by the dead node
-//     are flushed toward the drain target as partial contributions, so
-//     the children's data still reaches a root;
+//   - its blocks from earlier iterations are not: whatever the dead node
+//     merged but had not forwarded drains to its drain target, and every
+//     ancestor there keeps waiting for it, so no survivor stores such an
+//     iteration without it;
 //   - re-routed children's blocks from later iterations flow to the new
 //     parent directly (Stats.ReroutedEdges counts the moved edges).
 //
@@ -99,10 +103,6 @@ func NewTree(n, fanout, roots int) Tree {
 // Nodes returns the number of nodes in the forest, dead or alive.
 func (t Tree) Nodes() int { return t.n }
 
-// Fanout returns the children-per-node limit of the base arithmetic
-// (re-routing may push a live node past it).
-func (t Tree) Fanout() int { return t.fanout }
-
 // Alive reports whether node i has not been failed.
 func (t Tree) Alive(i int) bool {
 	t.check(i)
@@ -125,15 +125,6 @@ func (t Tree) Roots() []int {
 	}
 	sort.Ints(roots)
 	return roots
-}
-
-// SubtreeIndex returns the ordinal of the base subtree containing node
-// i — stable across failures (the overlay moves edges, not the
-// partition), so per-tree resource windows (broker targets, stripe
-// layouts) survive root promotion.
-func (t Tree) SubtreeIndex(i int) int {
-	t.check(i)
-	return sort.SearchInts(t.starts, i+1) - 1
 }
 
 // subtree returns the start and size of the base subtree containing
@@ -308,9 +299,7 @@ func (t Tree) LiveSubtree(i int) []int {
 }
 
 // CoversAll reports whether every required node id is present in the
-// covered set — the completion test of coverage-based aggregation,
-// shared by the runtime aggregators and the DES mirror in
-// internal/iostrat.
+// covered set — the completion test of coverage-based aggregation.
 func CoversAll(covered map[int]bool, required []int) bool {
 	for _, n := range required {
 		if !covered[n] {
@@ -327,6 +316,19 @@ func (t Tree) IsRoot(i int) bool {
 	}
 	_, ok := t.Parent(i)
 	return !ok
+}
+
+// inSubtree reports whether live node x sits in the subtree rooted at
+// n.
+func (t Tree) inSubtree(x, n int) bool {
+	for x != n {
+		p, ok := t.Parent(x)
+		if !ok {
+			return false
+		}
+		x = p
+	}
+	return true
 }
 
 // IsLeaf reports whether node i has no live children.

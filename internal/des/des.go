@@ -322,10 +322,6 @@ func (p *Proc) WaitUntil(t float64) {
 	p.yield()
 }
 
-// PendingEvents returns the number of scheduled events (diagnostics;
-// canceled timers are removed structurally, so they never count).
-func (e *Engine) PendingEvents() int { return len(e.events) }
-
 // Run executes events until the heap is empty. It returns the final clock
 // value. Run panics if processes remain blocked with no pending events
 // (a modeling deadlock).

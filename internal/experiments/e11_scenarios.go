@@ -239,7 +239,7 @@ func RunE11(opts Options) (Report, error) {
 	rep.Checks = append(rep.Checks,
 		Check{
 			Name:     "runtime: every acknowledged block stored once",
-			Paper:    "re-formation preserves in-flight mailboxes",
+			Paper:    "re-formation preserves in-flight merges",
 			Measured: float64(rt.blocks), Unit: "blocks",
 			Lo: float64(rt.want), Hi: float64(rt.want),
 		},

@@ -317,8 +317,8 @@ func (ps *pacedStore) iterSpans(iters int) []float64 {
 
 // perRootBrokers emulates per-backend tokens on the runtime face: every
 // root arbitrates against itself only, so roots of different trees can
-// still hit the same paced target at once. It is the runtime mirror of
-// iostrat.SchedOSTToken's per-stream base token.
+// still hit the same paced target at once, like
+// iostrat.SchedOSTToken's per-stream base token on the DES face.
 type perRootBrokers struct {
 	mu      sync.Mutex
 	targets int
@@ -410,8 +410,8 @@ func runE6Runtime(opts Options, rep *Report) error {
 		if err != nil {
 			return rtResult{}, err
 		}
-		// Both trees collide on one paced target, mirroring the DES
-		// sweep's overlapped stripe windows.
+		// Both trees collide on one paced target, like the DES sweep's
+		// overlapped stripe windows.
 		paced := &pacedStore{
 			inner:     storage.NewMemory(nil, 1, 1e9),
 			targetOf:  func(string) int { return 0 },

@@ -283,6 +283,9 @@ type e7sRun struct {
 type e7sConsumer struct {
 	opts  storage.SubOptions
 	delay time.Duration // per-frame processing cost
+	// gated holds the consumer back until the last iteration has been
+	// published, so it is deterministically slower than the producer.
+	gated bool
 }
 
 // fastConsumer drains instantly and never falls behind.
@@ -290,13 +293,18 @@ func fastConsumer() e7sConsumer {
 	return e7sConsumer{opts: storage.SubOptions{Buffer: storage.DefaultStreamBuffer}}
 }
 
-// slowConsumer processes each frame slower than the producer emits
-// them, forcing the queue policy to act.
+// slowConsumer falls behind the producer. Under the shedding policies
+// it reads nothing until every frame has been published, so whatever
+// exceeds its buffer must be shed — no race against the wall clock
+// decides whether the policy acts. Under Block it drains, each frame
+// slower than the producer emits them, so the leg measures
+// backpressure on the write path rather than a detach.
 func slowConsumer(pol storage.SlowPolicy, buffer int) e7sConsumer {
-	return e7sConsumer{
-		opts:  storage.SubOptions{Buffer: buffer, Policy: pol, BlockTimeout: 50 * time.Millisecond},
-		delay: 3 * e7sWriteDelay,
+	opts := storage.SubOptions{Buffer: buffer, Policy: pol, BlockTimeout: 50 * time.Millisecond}
+	if pol == storage.Block {
+		return e7sConsumer{opts: opts, delay: 3 * e7sWriteDelay}
 	}
+	return e7sConsumer{opts: opts, gated: true}
 }
 
 // delayedStore delays every Put by a fixed wall-clock amount — a
@@ -344,12 +352,18 @@ func runE7SCluster(nodes, clients, iters int, cons e7sConsumer) (e7sRun, error) 
 	run := e7sRun{}
 
 	// The streaming consumer: receives merged batches as roots finish
-	// aggregating, before the paced write completes.
+	// aggregating, before the paced write completes. A gated consumer
+	// starts reading only once the gate opens after production.
+	gate := make(chan struct{})
+	if !cons.gated {
+		close(gate)
+	}
 	var consumerWG sync.WaitGroup
 	consumerWG.Add(1)
 	consumerErr := make(chan error, 1)
 	go func() {
 		defer consumerWG.Done()
+		<-gate
 		for {
 			msg, err := sub.Recv()
 			if err != nil {
@@ -414,6 +428,10 @@ func runE7SCluster(nodes, clients, iters int, cons e7sConsumer) (e7sRun, error) 
 		}
 		run.fileLat = append(run.fileLat, time.Since(prodTime[it]).Seconds())
 		run.stepTimes = append(run.stepTimes, time.Since(step0).Seconds())
+	}
+	if cons.gated {
+		// Every iteration is stored, so every frame has been published.
+		close(gate)
 	}
 
 	if err := c.Shutdown(); err != nil {

@@ -2,7 +2,6 @@ package iostrat
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -105,74 +104,6 @@ func (s *nodeShm) close() {
 	s.wake()
 }
 
-// desAgg collects child-subtree contributions at one node of the
-// aggregation tree (the DES counterpart of cluster's aggregator). Like
-// the runtime aggregator it tracks coverage sets — which origin nodes
-// an iteration's delivered data spans — instead of counting against a
-// fixed child count, so failures that re-route children or shrink the
-// required coverage mid-run cannot wedge a parked dedicated core.
-type desAgg struct {
-	eng     *des.Engine
-	covered map[int]map[int]bool // iteration → origin nodes delivered
-	bytes   map[int]float64
-	waiting *des.Future
-}
-
-func newDesAgg(eng *des.Engine) *desAgg {
-	return &desAgg{eng: eng, covered: map[int]map[int]bool{}, bytes: map[int]float64{}}
-}
-
-// deliver records a contribution covering the given origin nodes for an
-// iteration and wakes the parked dedicated core to re-check.
-func (a *desAgg) deliver(it int, b float64, covers []int) {
-	m := a.covered[it]
-	if m == nil {
-		m = map[int]bool{}
-		a.covered[it] = m
-	}
-	for _, n := range covers {
-		m[n] = true
-	}
-	a.bytes[it] += b
-	a.wake()
-}
-
-// wake unparks the dedicated core, if parked; it re-evaluates its
-// coverage requirement on resumption.
-func (a *desAgg) wake() {
-	if a.waiting != nil {
-		f := a.waiting
-		a.waiting = nil
-		f.Complete()
-	}
-}
-
-// await blocks until the delivered coverage for iteration it spans
-// required (re-evaluated after every wake — failures shrink it), then
-// consumes and returns the merged volume and its coverage set.
-func (a *desAgg) await(p *des.Proc, it int, required func() []int) (float64, []int) {
-	for !cluster.CoversAll(a.covered[it], required()) {
-		a.waiting = a.eng.NewFuture()
-		p.Await(a.waiting)
-	}
-	b := a.bytes[it]
-	covers := sortedIntKeys(a.covered[it])
-	delete(a.covered, it)
-	delete(a.bytes, it)
-	return b, covers
-}
-
-// sortedIntKeys returns m's keys ascending: map iteration order must
-// never leak into the deterministic event schedule.
-func sortedIntKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // bandwidthShifter is the model-level knob scenario PFS shifts reach
 // through the backend stack (implemented by storage.PFS).
 type bandwidthShifter interface{ SetBandwidthFactor(float64) }
@@ -267,15 +198,6 @@ func runDamaris(cfg Config) (Result, error) {
 	}
 
 	treeMode := cfg.Fanout >= 2
-	var aggs []*desAgg
-	var rootCovered []int // per iteration, origin nodes reaching a root
-	if treeMode {
-		aggs = make([]*desAgg, plat.Nodes)
-		for n := 0; n < plat.Nodes; n++ {
-			aggs[n] = newDesAgg(eng)
-		}
-		rootCovered = make([]int, w.Iterations)
-	}
 
 	res := Result{Approach: Damaris, Platform: plat, Workload: w, Backend: cfg.Backend}
 	res.IOTimes = make([]float64, w.Iterations)
@@ -383,15 +305,16 @@ func runDamaris(cfg Config) (Result, error) {
 	// the same work, so busy time is attributed to the node's pool).
 	if treeMode {
 		tr = &treeRun{
-			cfg:         cfg,
-			eng:         eng,
-			be:          be,
-			schedule:    schedule,
-			res:         &res,
-			aggs:        aggs,
-			failures:    failures,
-			maxStarted:  -1,
-			rootCovered: rootCovered,
+			cfg:      cfg,
+			eng:      eng,
+			be:       be,
+			schedule: schedule,
+			res:      &res,
+			failures: failures,
+			agg: cluster.NewAggregation(plat.Nodes, cfg.Fanout, cfg.AggRoots,
+				func(into, from float64) float64 { return into + from }),
+			waiting:     make([]*des.Future, plat.Nodes),
+			rootCovered: make([]int, w.Iterations),
 			writeEnd:    make([]float64, w.Iterations),
 			phaseStart:  phaseStart,
 			computeAt:   computeAt,
@@ -402,12 +325,11 @@ func runDamaris(cfg Config) (Result, error) {
 			lastAdapt:   -adaptCooldown,
 			liveNodes:   plat.Nodes,
 		}
-		tr.epochs = []*desEpoch{tr.newEpoch(0, cfg.Fanout, cfg.AggRoots)}
 		// One bounded frame queue and one analysis consumer per root
 		// ordinal — a promoted root inherits its predecessor's queue
 		// along with the stripe window, and re-formations that widen
 		// the root set grow the array mid-run.
-		tr.growInsitu(tr.curEpoch().numRoots)
+		tr.growInsitu(tr.agg.NumRoots(0))
 	}
 	for n := 0; n < plat.Nodes; n++ {
 		node := n
@@ -485,17 +407,17 @@ func runDamaris(cfg Config) (Result, error) {
 		res.Completeness = make([]float64, w.Iterations)
 		res.TreeWriteLatencies = make([]float64, w.Iterations)
 		for it := 0; it < w.Iterations; it++ {
-			res.Completeness[it] = float64(rootCovered[it]) / float64(plat.Nodes)
+			res.Completeness[it] = float64(tr.rootCovered[it]) / float64(plat.Nodes)
 			if tr.writeEnd[it] > phaseStart[it] {
 				res.TreeWriteLatencies[it] = tr.writeEnd[it] - phaseStart[it]
 			}
 		}
-		// Aggregations nobody consumed (their consumer died or moved on
-		// when the coverage requirement shrank) are lost payload, as is
-		// everything a dead node's shm dropped.
-		for _, a := range aggs {
-			for _, it := range sortedIntKeys(a.bytes) {
-				res.LostBytes += a.bytes[it]
+		// Merges nobody released (stragglers, a dead node's orphans with
+		// no drain target) are lost payload, as is everything a dead
+		// node's shm dropped.
+		for n := 0; n < plat.Nodes; n++ {
+			for _, e := range tr.agg.Flush(n) {
+				res.LostBytes += e.Payload
 			}
 		}
 		for _, s := range shms {
@@ -512,45 +434,25 @@ func runDamaris(cfg Config) (Result, error) {
 // decisions that were not forced by a platform shift or node death.
 const adaptCooldown = 2
 
-// desEpoch binds one aggregation topology to the iterations it routes:
-// from from until the next epoch's from. It carries everything derived
-// from the root set — ordinals, count, stripe window width — so an
-// iteration keeps its parents, coverage requirement and stripe layout
-// for its whole life even when later iterations route differently.
-type desEpoch struct {
-	from        int
-	fanout      int
-	roots       int // requested root count (before failure overlays)
-	tree        cluster.Tree
-	rootOrdinal map[int]int
-	numRoots    int
-	stripes     int
-}
-
 // treeRun bundles the state shared by every dedicated core of a
-// tree-mode run: the topology epochs, the per-node aggregators, the
-// shared write scheduler, the adaptation controller state and the
-// per-iteration measurements.
+// tree-mode run: the aggregation core (topology epochs, failure
+// overlay, pending merges), the shared write scheduler, the adaptation
+// controller state and the per-iteration measurements.
 type treeRun struct {
 	cfg      Config
 	eng      *des.Engine
 	be       storage.Backend
 	schedule writeScheduler
 	res      *Result
-	aggs     []*desAgg
 	failures *cluster.FailureSchedule
 
-	// epochs is the append-only topology history: epochs[i] routes
-	// iterations in [epochs[i].from, epochs[i+1].from). maxStarted is
-	// the routing high-water mark fencing re-formations — once any
-	// node has taken an iteration from its shm, that iteration's epoch
-	// is fixed for every node. dead lists failed nodes in death order;
-	// every new epoch re-applies them.
-	epochs     []*desEpoch
-	maxStarted int
-	dead       []int
+	// agg is the aggregation core both faces share, with byte volumes as
+	// payload; waiting holds each dedicated core's parking future while
+	// it waits for the core to release its iteration.
+	agg     *cluster.Aggregation[float64]
+	waiting []*des.Future
 
-	rootCovered []int
+	rootCovered []int     // per iteration, origin nodes reaching a root
 	writeEnd    []float64 // per iteration, last root-write completion
 	phaseStart  []float64
 	computeAt   func(it int) float64
@@ -574,76 +476,6 @@ type treeRun struct {
 	liveNodes int
 }
 
-// epochFor returns the epoch routing iteration it.
-func (tr *treeRun) epochFor(it int) *desEpoch {
-	for i := len(tr.epochs) - 1; i > 0; i-- {
-		if tr.epochs[i].from <= it {
-			return tr.epochs[i]
-		}
-	}
-	return tr.epochs[0]
-}
-
-// curEpoch returns the newest epoch — the one new iterations route by.
-func (tr *treeRun) curEpoch() *desEpoch { return tr.epochs[len(tr.epochs)-1] }
-
-// noteStarted records that iteration it began routing, fencing future
-// re-formations past it.
-func (tr *treeRun) noteStarted(it int) {
-	if it > tr.maxStarted {
-		tr.maxStarted = it
-	}
-}
-
-// newEpoch builds a fresh topology epoch with the accumulated failure
-// overlay re-applied, ordinals assigned to its live roots ascending.
-func (tr *treeRun) newEpoch(from, fanout, roots int) *desEpoch {
-	t := cluster.NewTree(tr.cfg.Platform.Nodes, fanout, roots)
-	for _, d := range tr.dead {
-		t.Fail(d)
-	}
-	rs := t.Roots()
-	ro := make(map[int]int, len(rs))
-	for i, r := range rs {
-		ro[r] = i
-	}
-	nr := len(rs)
-	if nr == 0 {
-		nr = 1 // stripe math only; a rootless epoch is never installed
-	}
-	return &desEpoch{
-		from:        from,
-		fanout:      fanout,
-		roots:       roots,
-		tree:        t,
-		rootOrdinal: ro,
-		numRoots:    len(rs),
-		stripes:     rootStripes(tr.cfg, tr.be.Targets(), nr),
-	}
-}
-
-// reform installs a new topology epoch at the fence maxStarted+1: every
-// iteration at or past the fence routes through the new tree, every
-// older one keeps its original epoch end to end. When the previous
-// epoch never routed anything it is replaced in place instead of
-// stacking unused epochs.
-func (tr *treeRun) reform(fanout, roots int) {
-	from := tr.maxStarted + 1
-	ep := tr.newEpoch(from, fanout, roots)
-	if ep.numRoots == 0 {
-		return
-	}
-	last := tr.epochs[len(tr.epochs)-1]
-	if last.from >= from {
-		ep.from = last.from
-		tr.epochs[len(tr.epochs)-1] = ep
-	} else {
-		tr.epochs = append(tr.epochs, ep)
-	}
-	tr.res.TreeReforms++
-	tr.growInsitu(ep.numRoots)
-}
-
 // maybeAdapt re-derives the forest shape from the bandwidths observed
 // so far and re-forms the tree when the recommendation moved — right
 // after a platform shift or node death, otherwise at most every
@@ -664,11 +496,15 @@ func (tr *treeRun) maybeAdapt(it int) {
 	}
 	fanout, roots := cluster.RecommendTopology(tr.cfg.Platform.Nodes,
 		tr.nodeBytesAt(next), tr.obsNIC, tr.obsPFS, tr.be.Targets())
-	cur := tr.curEpoch()
-	if fanout == cur.fanout && roots == cur.roots {
+	if f, r := tr.agg.Shape(); fanout == f && roots == r {
 		return
 	}
-	tr.reform(fanout, roots)
+	from, err := tr.agg.Reform(fanout, roots)
+	if err != nil {
+		return // every node dead: nothing left to re-form
+	}
+	tr.res.TreeReforms++
+	tr.growInsitu(tr.agg.NumRoots(from))
 }
 
 // observeNIC and observePFS fold one measured transfer into the EWMAs
@@ -696,14 +532,14 @@ func (tr *treeRun) deadline(it int) float64 {
 }
 
 // runNode is one dedicated core's life in tree mode: per iteration,
-// merge the node's own output with the children's subtree volumes, then
-// either forward upward over the NIC or — at a root — stripe the merged
-// payload onto the backend as few large sequential streams. The parent
-// and the coverage requirement come from the iteration's topology
-// epoch, re-read every iteration: a failure elsewhere can re-route this
-// node, and a re-formation can change its role for *later* iterations
-// while the in-flight ones keep their original tree. A node's own
-// scheduled death ends its loop.
+// join the node's coverage to the iteration's merge, wait until the
+// aggregation core releases it (the node's live subtree delivered),
+// then either forward the merged volume upward over the NIC or — at a
+// root — stripe it onto the backend as few large sequential streams.
+// The core routes by the iteration's topology epoch at release time: a
+// failure elsewhere can re-route this node, and a re-formation can
+// change its role for *later* iterations while the in-flight ones keep
+// their original tree. A node's own scheduled death ends its loop.
 func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 	defer tr.nodeDone()
 	cfg, be, res := tr.cfg, tr.be, tr.res
@@ -720,11 +556,10 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 			tr.failNode(shm, node, item)
 			return
 		}
-		// Routing decision point: from here on, iteration item.iter
-		// flows through this epoch's tree on every node, so any
-		// re-formation fences past it.
-		tr.noteStarted(item.iter)
-		ep := tr.epochFor(item.iter)
+		// The node's coverage joins the merge now, fencing re-formations
+		// past this iteration; its own volume joins when the merged
+		// subtree leaves the node.
+		tr.deliver(node, item.iter, 0, []int{node})
 		busy := 0.0
 		t0 := p.Now()
 		own := item.bytes
@@ -734,26 +569,22 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 		}
 		busy += p.Now() - t0
 
-		// The coverage this node must merge before forwarding: its live
-		// subtree under the iteration's epoch, minus itself (own output
-		// arrives through the shm loop). Awaiting stragglers is idle
-		// time, not work.
-		required := func() []int {
-			subtree := ep.tree.LiveSubtree(node)
-			req := subtree[:0]
-			for _, n := range subtree {
-				if n != node {
-					req = append(req, n)
-				}
+		// Awaiting stragglers is idle time, not work. Only this
+		// iteration can be released here: every other pending merge at
+		// the node lacks the node's own coverage.
+		var e cluster.Emit[float64]
+		for {
+			if ready := tr.agg.Poll(node); len(ready) > 0 {
+				e = ready[0]
+				break
 			}
-			return req
+			tr.waiting[node] = tr.eng.NewFuture()
+			p.Await(tr.waiting[node])
 		}
-		childBytes, covers := tr.aggs[node].await(p, item.iter, required)
-		subtree := own + childBytes
-		covers = append(covers, node)
+		subtree := own + e.Payload
 
 		t1 := p.Now()
-		if parent, hasParent := ep.tree.Parent(node); hasParent {
+		if e.Kind == cluster.EmitForward {
 			if subtree > 0 {
 				// Store-and-forward: the sender serializes the batch onto
 				// its NIC (at the trace's current effective bandwidth);
@@ -764,12 +595,14 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 					tr.observeNIC(subtree / el)
 				}
 			}
-			// The parent may have died during the transfer: relay along
-			// the drain chain, like the runtime cluster's dead relays.
-			deliverUp(&ep.tree, tr.aggs, res, parent, item.iter, subtree, covers)
+			// The parent may have died during the transfer: the core
+			// relays along its drain chain.
+			tr.deliver(e.To, item.iter, subtree, e.Covers)
 		} else {
-			tr.rootCovered[item.iter] += len(covers)
-			ord := ep.rootOrdinal[node]
+			tr.rootCovered[item.iter] += len(e.Covers)
+			ord := tr.agg.RootOrdinal(node, item.iter)
+			numRoots := tr.agg.NumRoots(item.iter)
+			stripes := rootStripes(cfg, be.Targets(), numRoots)
 			if cfg.InSitu.Mode == InSituStream {
 				// Streaming coupling: the consumer sees the merged frame
 				// the moment aggregation completes, overlapped with the
@@ -783,27 +616,27 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 				for f := 0; f < files; f++ {
 					// Spread root files over the target array, stripes-wide
 					// windows per file so roots do not collide.
-					base := ((ord + fileSeq*ep.numRoots) * ep.stripes) % be.Targets()
+					base := ((ord + fileSeq*numRoots) * stripes) % be.Targets()
 					fileSeq++
 					release := tr.schedule.acquire(p, writeReq{
 						holder:   node,
 						base:     base,
-						stripes:  ep.stripes,
+						stripes:  stripes,
 						deadline: tr.deadline(item.iter),
 						bytes:    subtree,
 					})
 					be.Create(p)
 					tw := p.Now()
-					futs := make([]*des.Future, ep.stripes)
-					for s := 0; s < ep.stripes; s++ {
-						futs[s] = be.WriteAsync((base+s)%be.Targets(), per/float64(ep.stripes),
+					futs := make([]*des.Future, stripes)
+					for s := 0; s < stripes; s++ {
+						futs[s] = be.WriteAsync((base+s)%be.Targets(), per/float64(stripes),
 							storage.BigSequential)
 					}
 					for _, fu := range futs {
 						p.Await(fu)
 					}
 					if el := p.Now() - tw; el > 0 {
-						tr.observePFS(per / float64(ep.stripes) / el)
+						tr.observePFS(per / float64(stripes) / el)
 					}
 					be.Close(p)
 					release()
@@ -828,76 +661,48 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 }
 
 // rootStripes resolves how many backend targets each root stream is
-// striped over: the configured override, or wide enough that the few
-// root streams can saturate the target array while staying "few large
-// streams". The write path and the restart-read model share this, so
-// the read mirror always prices the layout the write side produced.
+// striped over: the configured override, or cluster.StripeWindow. The
+// write path and the restart-read model share this, so the read model
+// always prices the layout the write side produced.
 func rootStripes(cfg Config, targets, numRoots int) int {
-	stripes := cfg.RootStripes
-	if stripes <= 0 {
-		stripes = targets / (2 * numRoots)
-		if stripes < 8 {
-			stripes = 8
-		}
-		if stripes > 64 {
-			stripes = 64
-		}
+	if cfg.RootStripes > 0 {
+		return min(cfg.RootStripes, targets)
 	}
-	if stripes > targets {
-		stripes = targets
-	}
-	return stripes
+	return cluster.StripeWindow(targets, numRoots)
 }
 
-// deliverUp hands a merged batch to dest's aggregator, chasing the
-// drain chain when dest died mid-transfer; a batch with no live
-// destination is lost.
-func deliverUp(tree *cluster.Tree, aggs []*desAgg, res *Result, dest, it int,
-	b float64, covers []int) {
-
-	for !tree.Alive(dest) {
-		next, ok := tree.DrainTarget(dest)
-		if !ok {
-			res.LostBytes += b
-			return
-		}
-		dest = next
+// deliver hands a volume to the aggregation core at node to (relayed
+// along the drain chain when to is dead) and wakes the dedicated core
+// it lands at; a volume with nowhere to land is lost.
+func (tr *treeRun) deliver(to, it int, b float64, covers []int) {
+	at, ok := tr.agg.Deliver(to, it, b, covers)
+	if !ok {
+		tr.res.LostBytes += b
+		return
 	}
-	aggs[dest].deliver(it, b, covers)
+	tr.wake(at)
 }
 
-// failNode executes one scheduled death on the DES side, mirroring
-// Cluster.killNode: re-route every topology epoch (the corpse is dead
-// in all of them, with per-epoch root-ordinal inheritance on
-// promotions), free any scheduling tokens the dead node holds or waits
-// for, hand each in-flight aggregation to its own iteration's drain
-// target with its coverage intact, account the lost own output, and
-// wake every parked dedicated core so it re-checks its (now smaller)
-// coverage requirement.
+// wake unparks node n's dedicated core, if parked; it polls the core
+// again on resumption.
+func (tr *treeRun) wake(n int) {
+	if f := tr.waiting[n]; f != nil {
+		tr.waiting[n] = nil
+		f.Complete()
+	}
+}
+
+// failNode executes one scheduled death on the DES side: the core
+// re-routes every topology epoch and hands the corpse's pending merges
+// to their drain targets, delivered here synchronously; any scheduling
+// tokens the dead node holds or waits for are freed, the lost own
+// output accounted, and every parked dedicated core woken so it
+// re-checks its (now smaller) coverage requirement.
 func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 	res := tr.res
-	tr.dead = append(tr.dead, node)
+	edges, drained, _ := tr.agg.Die(node, item.iter)
 	res.NodesFailed++
-	routing := tr.epochFor(item.iter)
-	for _, ep := range tr.epochs {
-		if !ep.tree.Alive(node) {
-			continue
-		}
-		wasRoot := ep.tree.IsRoot(node)
-		edges := ep.tree.Fail(node)
-		if ep == routing {
-			res.ReroutedEdges += len(edges)
-		}
-		if wasRoot {
-			// The promoted sibling inherits the dead root's stripe
-			// window in this epoch.
-			for _, e := range edges {
-				if e.NewParent == -1 {
-					ep.rootOrdinal[e.Child] = ep.rootOrdinal[node]
-				}
-			}
-		}
-	}
+	res.ReroutedEdges += len(edges)
 	// A dead root must not strand an OST token for the rest of the run:
 	// whatever it held or queued for goes back to the broker.
 	tr.schedule.releaseHolder(node)
@@ -905,20 +710,11 @@ func (tr *treeRun) failNode(shm *nodeShm, node int, item shmIter) {
 	// kill() charges whatever else the segment held or receives later.
 	res.LostBytes += item.bytes
 	shm.kill()
-
-	a := tr.aggs[node]
-	for _, it := range sortedIntKeys(a.covered) {
-		ep := tr.epochFor(it)
-		if dest, ok := ep.tree.DrainTarget(node); ok {
-			tr.aggs[dest].deliver(it, a.bytes[it], sortedIntKeys(a.covered[it]))
-			delete(a.covered, it)
-			delete(a.bytes, it)
-		}
+	for _, e := range drained {
+		tr.deliver(e.To, e.It, e.Payload, e.Covers)
 	}
-	// Orphans with no drain target stay in a.bytes and are swept into
-	// LostBytes after the run.
-	for _, other := range tr.aggs {
-		other.wake()
+	for n := range tr.waiting {
+		tr.wake(n)
 	}
 	// The machine shrank: an adaptive run may want a different forest.
 	tr.adaptDirty = true

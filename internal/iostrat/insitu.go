@@ -8,7 +8,7 @@ import (
 )
 
 // InSituMode selects how the DES face couples analysis consumers to the
-// aggregation-tree roots — the virtual-time mirror of the runtime
+// aggregation-tree roots — the virtual-time counterpart of the runtime
 // streaming face (storage.Stream + cluster.NewStreamingHook).
 type InSituMode string
 
@@ -212,14 +212,6 @@ func (tr *treeRun) growInsitu(numRoots int) {
 	}
 }
 
-// closeInSituOrdinal ends one root ordinal's stream (no-op when
-// in-situ is off).
-func (tr *treeRun) closeInSituOrdinal(ord int) {
-	if tr.insituQs != nil {
-		tr.insituQs[ord].close()
-	}
-}
-
 // runConsumer is one root's analysis consumer: a proc on the root's
 // dedicated-core pool that drains the frame queue and pays analysis
 // CPU per frame — §V's visualization running on the cores' spare time.
@@ -239,7 +231,7 @@ func (tr *treeRun) runConsumer(p *des.Proc, ord int) {
 			// stripe window the write used — the frame's own epoch's,
 			// which a later re-formation does not retarget; the read
 			// competes with whatever the storage system is serving.
-			stripes := tr.epochFor(item.iter).stripes
+			stripes := rootStripes(cfg, be.Targets(), tr.agg.NumRoots(item.iter))
 			base := (ord * stripes) % be.Targets()
 			futs := make([]*des.Future, stripes)
 			for s := 0; s < stripes; s++ {

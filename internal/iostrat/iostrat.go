@@ -216,13 +216,14 @@ type Config struct {
 	// overwrite-fraction sweep varies it.
 	DedupNewFraction float64
 	// InSitu couples an analysis consumer to every aggregation-tree
-	// root (tree mode only): the DES mirror of the runtime streaming
-	// face, pricing analysis CPU against dedicated-core spare time and
+	// root (tree mode only): the DES counterpart of the runtime
+	// streaming face, pricing analysis CPU against dedicated-core spare time and
 	// sweeping stream vs file-then-read couplings (the E7 extension).
 	// See InSituConfig. The zero value disables it.
 	InSitu InSituConfig
-	// Failures schedules node deaths in tree mode (nil: none), the DES
-	// mirror of cluster.Config.Failures: when a scheduled node's
+	// Failures schedules node deaths in tree mode (nil: none), with the
+	// cluster.Config.Failures semantics (both faces run the same
+	// cluster.Aggregation death contract): when a scheduled node's
 	// dedicated core reaches its death iteration, the node's I/O stack
 	// stops (its output from that iteration on is lost), its children
 	// re-route to its parent (or a promoted sibling when a root dies),
@@ -428,7 +429,7 @@ type Result struct {
 	// Completeness has one entry per iteration in tree mode: the
 	// fraction of nodes whose contribution reached a root write (1.0
 	// everywhere without failures; skips still count as participation,
-	// mirroring the runtime cluster's zero-block batches).
+	// as the runtime cluster's zero-block batches do).
 	Completeness []float64
 	// TreeWriteLatencies has one entry per iteration in tree mode: from
 	// the output phase's start until the last root write of that

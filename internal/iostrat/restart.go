@@ -22,7 +22,7 @@ type RestartResult struct {
 	Stripes int
 }
 
-// RestartRead is the DES mirror of the object read path: it prices
+// RestartRead is the DES model of the object read path: it prices
 // restarting one checkpoint (a single iteration's stored objects) on
 // the configured backend, the inverse of the tree-mode write path. Each
 // aggregation-tree root reads its subtree's object back as striped

@@ -170,7 +170,7 @@ type desJob struct {
 	prio    int
 }
 
-// desAdmission is the DES mirror of cluster.Service admission: a node
+// desAdmission is the DES counterpart of cluster.Service admission: a node
 // counter and a policy-ordered queue. The engine is single-threaded, so
 // no locking — everything runs in event order.
 type desAdmission struct {

@@ -249,6 +249,8 @@ func (s *ShardedBroker) Outstanding() int {
 func (s *ShardedBroker) Stats() BrokerStats {
 	s.mu.Lock()
 	out := s.stats
+	out.GrantsByHolder = copyIntMap(s.stats.GrantsByHolder)
+	out.BytesByTenant = copyFloatMap(s.stats.BytesByTenant)
 	out.WaitByHolder = copyFloatMap(s.stats.WaitByHolder)
 	out.ContendedByHolder = copyIntMap(s.stats.ContendedByHolder)
 	s.mu.Unlock()

@@ -233,3 +233,43 @@ func TestShardedBrokerDeathBetweenAcquisitionAndRollback(t *testing.T) {
 		t.Fatalf("dead holder shows %d request-level grants, want 0", n)
 	}
 }
+
+// TestShardedBrokerStatsSnapshotIsDeep reads every map of a Stats
+// snapshot while other goroutines keep acquiring: the snapshot must own
+// its maps, so the race detector sees no reader racing the ledger.
+func TestShardedBrokerStatsSnapshotIsDeep(t *testing.T) {
+	b := NewShardedBroker(BrokerOptions{Policy: PolicyPerTarget, Targets: 8}, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(holder int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				g := b.Acquire(TokenRequest{Holder: holder, Tenant: holder % 2,
+					Targets: []int{holder}, Bytes: 1})
+				g.Release()
+			}
+		}(w)
+	}
+	sum := 0.0
+	for i := 0; i < 200; i++ {
+		st := b.Stats()
+		for _, n := range st.GrantsByHolder {
+			sum += float64(n)
+		}
+		for _, v := range st.BytesByTenant {
+			sum += v
+		}
+		for _, v := range st.WaitByHolder {
+			sum += v
+		}
+		for _, n := range st.ContendedByHolder {
+			sum += float64(n)
+		}
+	}
+	wg.Wait()
+	if got := b.Stats().GrantsByHolder; len(got) != 4 || got[0] != 200 {
+		t.Fatalf("GrantsByHolder = %v, want 200 grants for each of 4 holders", got)
+	}
+	_ = sum
+}

@@ -111,9 +111,10 @@ func (o SubOptions) withDefaults() SubOptions {
 // Stream is a fan-out hub from publishers (tree roots, the Streaming
 // store wrapper) to in-situ subscribers. Each subscriber owns a bounded
 // FIFO queue; when it falls behind, its SlowPolicy — not the other
-// subscribers' — decides what gives. Publish order is delivery order
-// within one publisher; messages carry stream-wide sequence numbers so
-// consumers can detect drops. All methods are safe for concurrent use.
+// subscribers' — decides what gives. Messages carry stream-wide
+// sequence numbers, and every subscriber receives them in sequence
+// order even with several concurrent publishers, so a gap means a drop.
+// All methods are safe for concurrent use.
 type Stream struct {
 	mu     sync.Mutex
 	subs   map[*Subscription]struct{}
@@ -159,11 +160,14 @@ func (s *Stream) Published() uint64 {
 // Publish hands one payload to every current subscriber. The stream
 // takes ownership of data: it is shared read-only among subscribers,
 // so the caller must not reuse or recycle the buffer afterwards (pass
-// a copy when the source buffer is pooled). Publish blocks only for
-// Block-policy subscribers with full queues, and each of those at most
-// its own BlockTimeout — after which the laggard is detached with
-// ErrSlowConsumer and the publisher moves on. Publishing on a closed
-// stream is a no-op.
+// a copy when the source buffer is pooled). The message is numbered
+// and offered to every subscriber in one critical section, so each
+// subscriber sees sequence order even with concurrent publishers.
+// Publish blocks only for Block-policy subscribers with full queues,
+// and each of those at most its own BlockTimeout, however many other
+// publishers wait on the same subscriber — after which the laggard is
+// detached with ErrSlowConsumer and the publisher moves on. Publishing
+// on a closed stream is a no-op.
 func (s *Stream) Publish(name string, data []byte) {
 	s.mu.Lock()
 	if s.closed {
@@ -172,13 +176,19 @@ func (s *Stream) Publish(name string, data []byte) {
 	}
 	s.seq++
 	msg := StreamMsg{Name: name, Seq: s.seq, Data: data}
-	targets := make([]*Subscription, 0, len(s.subs))
+	type blocked struct {
+		sub      *Subscription
+		admitted chan struct{}
+	}
+	var waits []blocked
 	for sub := range s.subs {
-		targets = append(targets, sub)
+		if admitted := sub.offer(msg); admitted != nil {
+			waits = append(waits, blocked{sub, admitted})
+		}
 	}
 	s.mu.Unlock()
-	for _, sub := range targets {
-		sub.offer(msg)
+	for _, w := range waits {
+		w.sub.await(w.admitted)
 	}
 }
 
@@ -220,11 +230,19 @@ type Subscription struct {
 
 	mu       sync.Mutex
 	queue    []StreamMsg
-	closed   bool  // no more messages will be queued
-	failed   error // terminal error after the backlog drains
+	waiting  []waiter // Block-policy messages past a full queue, in order
+	closed   bool     // no more messages will be queued
+	failed   error    // terminal error after the backlog drains
 	dropped  uint64
 	notEmpty chan struct{} // 1-buffered wakeup for Recv
-	notFull  chan struct{} // 1-buffered wakeup for Block publishers
+}
+
+// waiter is one Block-policy message its publisher is holding for:
+// admitted closes once the message enters the queue or the
+// subscription closes (the message is then discarded).
+type waiter struct {
+	msg      StreamMsg
+	admitted chan struct{}
 }
 
 func newSubscription(s *Stream, opts SubOptions) *Subscription {
@@ -232,7 +250,6 @@ func newSubscription(s *Stream, opts SubOptions) *Subscription {
 		stream:   s,
 		opts:     opts,
 		notEmpty: make(chan struct{}, 1),
-		notFull:  make(chan struct{}, 1),
 	}
 }
 
@@ -245,59 +262,57 @@ func signal(ch chan struct{}) {
 }
 
 // offer enqueues one message under this subscription's slow-consumer
-// policy. Safe for concurrent publishers.
-func (c *Subscription) offer(msg StreamMsg) {
-	var timeout <-chan time.Time
-	var timer *time.Timer
+// policy without blocking. A Block-policy subscriber with a full queue
+// parks the message behind the queue, in order, and returns the channel
+// its publisher awaits. The stream holds its lock across offers.
+func (c *Subscription) offer(msg StreamMsg) (admitted chan struct{}) {
 	c.mu.Lock()
-	for {
-		if c.closed {
-			c.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			return
-		}
-		if len(c.queue) < c.opts.Buffer {
-			c.queue = append(c.queue, msg)
-			c.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			signal(c.notEmpty)
-			return
-		}
-		switch c.opts.Policy {
-		case Sample:
-			// Drop the newcomer: what stays queued is an in-order
-			// subsample the consumer will still see oldest-first.
-			c.dropped++
-			c.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			return
-		case Block:
-			// Backpressure: wait for the consumer to make room, up to
-			// the subscriber's timeout — then detach it rather than
-			// hold the write path hostage.
-			if timeout == nil {
-				timer = time.NewTimer(c.opts.BlockTimeout)
-				timeout = timer.C
-			}
-			c.mu.Unlock()
-			select {
-			case <-c.notFull:
-				c.mu.Lock()
-			case <-timeout:
-				c.close(ErrSlowConsumer)
-				return
-			}
-		default: // DropOldest
-			c.queue = c.queue[1:]
-			c.dropped++
-		}
+	defer c.mu.Unlock()
+	switch {
+	case c.closed:
+	case len(c.queue) < c.opts.Buffer:
+		c.queue = append(c.queue, msg)
+		signal(c.notEmpty)
+	case c.opts.Policy == Sample:
+		// Drop the newcomer: what stays queued is an in-order subsample
+		// the consumer will still see oldest-first.
+		c.dropped++
+	case c.opts.Policy == Block:
+		admitted = make(chan struct{})
+		c.waiting = append(c.waiting, waiter{msg, admitted})
+	default: // DropOldest
+		c.queue = append(c.queue[1:], msg)
+		c.dropped++
 	}
+	return admitted
+}
+
+// await is a Block-policy publisher's backpressure: it waits for the
+// consumer to admit its message, up to the subscriber's timeout — then
+// detaches the laggard rather than hold the write path hostage.
+func (c *Subscription) await(admitted chan struct{}) {
+	timer := time.NewTimer(c.opts.BlockTimeout)
+	defer timer.Stop()
+	select {
+	case <-admitted:
+	case <-timer.C:
+		c.close(ErrSlowConsumer)
+	}
+}
+
+// pop dequeues the oldest message and admits the oldest parked one into
+// the freed slot. Callers hold c.mu and have checked the queue is not
+// empty.
+func (c *Subscription) pop() StreamMsg {
+	msg := c.queue[0]
+	c.queue = c.queue[1:]
+	if len(c.waiting) > 0 {
+		w := c.waiting[0]
+		c.waiting = c.waiting[1:]
+		c.queue = append(c.queue, w.msg)
+		close(w.admitted)
+	}
+	return msg
 }
 
 // Recv returns the next message, blocking until one arrives or the
@@ -309,10 +324,8 @@ func (c *Subscription) Recv() (StreamMsg, error) {
 	for {
 		c.mu.Lock()
 		if len(c.queue) > 0 {
-			msg := c.queue[0]
-			c.queue = c.queue[1:]
+			msg := c.pop()
 			c.mu.Unlock()
-			signal(c.notFull)
 			return msg, nil
 		}
 		if c.closed {
@@ -335,10 +348,7 @@ func (c *Subscription) TryRecv() (msg StreamMsg, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.queue) > 0 {
-		msg = c.queue[0]
-		c.queue = c.queue[1:]
-		signal(c.notFull)
-		return msg, true, nil
+		return c.pop(), true, nil
 	}
 	if c.closed {
 		if err = c.failed; err == nil {
@@ -368,8 +378,8 @@ func (c *Subscription) Pending() int {
 	return len(c.queue)
 }
 
-// close marks the subscription terminal with cause (nil = plain close)
-// and wakes both sides. First cause wins.
+// close marks the subscription terminal with cause (nil = plain close),
+// discards the parked messages and wakes both sides. First cause wins.
 func (c *Subscription) close(cause error) {
 	c.stream.detach(c)
 	c.mu.Lock()
@@ -377,9 +387,12 @@ func (c *Subscription) close(cause error) {
 		c.closed = true
 		c.failed = cause
 	}
+	for _, w := range c.waiting {
+		close(w.admitted)
+	}
+	c.waiting = nil
 	c.mu.Unlock()
 	signal(c.notEmpty)
-	signal(c.notFull)
 }
 
 // StreamPublisher is the streaming write face: store an object and

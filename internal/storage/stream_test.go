@@ -111,6 +111,45 @@ func TestBlockTimeoutDetaches(t *testing.T) {
 	}
 }
 
+// TestBlockConcurrentPublishersBounded: several publishers parked on
+// one full Block subscriber each wait at most their own BlockTimeout,
+// not behind one another, and the consumer still sees strictly
+// increasing sequence numbers. The consumer frees one slot per 0.6
+// timeouts, so publishers served one after another would need up to
+// 2.4 timeouts.
+func TestBlockConcurrentPublishersBounded(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	s := NewStream()
+	sub := s.Subscribe(SubOptions{Buffer: 1, Policy: Block, BlockTimeout: timeout})
+	s.Publish("fill", nil)
+	const publishers = 4
+	held := make(chan time.Duration, publishers)
+	for i := 0; i < publishers; i++ {
+		go func() {
+			start := time.Now()
+			s.Publish("p", nil)
+			held <- time.Since(start)
+		}()
+	}
+	var last uint64
+	for got := 0; got <= publishers; got++ {
+		time.Sleep(timeout * 6 / 10)
+		msg, err := sub.Recv()
+		if err != nil {
+			break
+		}
+		if msg.Seq <= last {
+			t.Fatalf("Seq %d after %d: delivery out of sequence order", msg.Seq, last)
+		}
+		last = msg.Seq
+	}
+	for i := 0; i < publishers; i++ {
+		if el := <-held; el > timeout*3/2 {
+			t.Fatalf("publisher held %v, want at most ~BlockTimeout (%v)", el, timeout)
+		}
+	}
+}
+
 // TestSamplePreservesOrdering is the sample property: whatever subset a
 // slow consumer sees arrives in publish order (strictly increasing
 // sequence numbers), the publisher never blocks, and accounting covers
@@ -213,7 +252,7 @@ func TestTryRecv(t *testing.T) {
 
 // TestStreamChurnRace hammers subscribe/receive/cancel from many
 // goroutines while publishers keep publishing — the storage-side half
-// of the subscriber-churn race (`make stream-race`).
+// of the subscriber-churn race.
 func TestStreamChurnRace(t *testing.T) {
 	s := NewStream()
 	stop := make(chan struct{})
