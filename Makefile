@@ -29,7 +29,7 @@ PPROF_PKG ?= .
 
 .PHONY: build test vet fmt fmt-check bench bench-json bench-compare \
 	pprof-cpu pprof-alloc cover-check tidy-check \
-	stress failure-smoke restart-smoke c1-smoke fuzz-smoke lint docs-check \
+	stress fuzz-smoke lint docs-check \
 	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
 
 build:
@@ -80,33 +80,27 @@ smoke-e7s:
 smoke-e11:
 	$(GO) run ./cmd/damaris-bench -quick -exp e11
 
-smoke-f1: failure-smoke
-
-smoke-r1: restart-smoke
-
-smoke-c1: c1-smoke
-
 # F1 failure-injection experiment at smoke scale: small node count,
 # fixed seed, both the DES and the runtime cluster sweeps.
-failure-smoke:
+smoke-f1:
 	$(GO) run ./cmd/damaris-bench -quick -exp f1
 
 # R1 checkpoint/restart experiment at smoke scale: write objects +
 # manifests into an sdf store, restore them, then replay the artifacts
 # through -restart-from (the full object read path end to end).
-restart-smoke:
-	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend sdf -backend-dir out/restart-smoke
-	$(GO) run ./cmd/damaris-bench -restart-from out/restart-smoke/fail0
+smoke-r1:
+	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend sdf -backend-dir out/smoke-r1
+	$(GO) run ./cmd/damaris-bench -restart-from out/smoke-r1/fail0
 
 # C1 compression smoke: the codec × dataset sweep with the adaptive
 # selector at quick scale, then a compressed-store restart round trip
 # on disk — write framed objects through the adaptive pipeline, replay
 # them via -restart-from, and list them with sdfdump (codec + ratio).
-c1-smoke:
+smoke-c1:
 	$(GO) run ./cmd/damaris-bench -quick -exp c1
-	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend sdf -codec adaptive -backend-dir out/c1-smoke
-	$(GO) run ./cmd/damaris-bench -restart-from out/c1-smoke/fail0
-	$(GO) run ./cmd/sdfdump out/c1-smoke/fail0
+	$(GO) run ./cmd/damaris-bench -quick -exp r1 -backend sdf -codec adaptive -backend-dir out/smoke-c1
+	$(GO) run ./cmd/damaris-bench -restart-from out/smoke-c1/fail0
+	$(GO) run ./cmd/sdfdump out/smoke-c1/fail0
 
 # Short fuzz passes over the object decoders; `go test -fuzz` takes
 # one package per invocation.

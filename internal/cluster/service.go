@@ -2,37 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
-
-// AdmissionPolicy decides what a Service does with a tenant whose node
-// quota exceeds the dedicated cores currently free.
-type AdmissionPolicy string
-
-const (
-	// AdmitFIFO queues oversubscribed tenants in arrival order.
-	AdmitFIFO AdmissionPolicy = "fifo"
-	// AdmitDeadline queues oversubscribed tenants and dispatches the
-	// highest-priority, earliest-deadline tenant first (EDF).
-	AdmitDeadline AdmissionPolicy = "deadline"
-	// AdmitReject refuses oversubscribed tenants outright.
-	AdmitReject AdmissionPolicy = "reject"
-	// AdmitDegrade shrinks an oversubscribed tenant's ask to whatever is
-	// free right now — the paper's skip policy applied to admission:
-	// run smaller (losing per-node throughput) rather than wait. A
-	// tenant arriving when nothing is free still queues.
-	AdmitDegrade AdmissionPolicy = "degrade"
-)
-
-// ValidateAdmissionPolicy rejects unknown policy names (flag parsing).
-func ValidateAdmissionPolicy(p AdmissionPolicy) error {
-	switch p {
-	case AdmitFIFO, AdmitDeadline, AdmitReject, AdmitDegrade:
-		return nil
-	}
-	return fmt.Errorf("cluster: unknown admission policy %q", p)
-}
 
 // TenantState is one tenant's position in the Service lifecycle.
 type TenantState string
@@ -67,20 +38,14 @@ type ServiceOptions struct {
 // the storage targets is arbitrated by the shared broker through
 // holder-tagged grants; see ClusterConfig.Broker.
 type Service struct {
-	cc   ClusterConfig
-	opts ServiceOptions
+	cc ClusterConfig
 
-	mu        sync.Mutex
-	freeNodes int
-	nextID    int
-	tenants   []*Tenant // submission order, all states
-	queue     []*Tenant // waiting for cores
-	jobNames  map[string]bool
-	closed    bool
-
-	// rollup counters not derivable from tenant states alone
-	maxQueued int
-	degraded  int
+	mu       sync.Mutex
+	adm      *Admission[*Tenant]
+	nextID   int
+	tenants  []*Tenant // submission order, all states
+	jobNames map[string]bool
+	closed   bool
 }
 
 // NewService opens a multi-tenant run host over the given substrate.
@@ -99,10 +64,9 @@ func NewService(cc ClusterConfig, opts ServiceOptions) (*Service, error) {
 		return nil, err
 	}
 	return &Service{
-		cc:        cc,
-		opts:      opts,
-		freeNodes: cc.Platform.Nodes,
-		jobNames:  map[string]bool{},
+		cc:       cc,
+		adm:      NewAdmission[*Tenant](opts.Admission, cc.Platform.Nodes),
+		jobNames: map[string]bool{},
 	}, nil
 }
 
@@ -114,12 +78,11 @@ type Tenant struct {
 	need int // node ask after clamping
 
 	// Guarded by svc.mu.
-	state    TenantState
-	nodes    int // granted (may be < need under AdmitDegrade)
-	degraded bool
-	cluster  *Cluster
-	err      error
-	final    Stats // snapshot at Finish/Evict
+	state   TenantState
+	nodes   int // granted (may be < need under AdmitDegrade)
+	cluster *Cluster
+	err     error
+	final   Stats // snapshot at Finish/Evict
 
 	decided chan struct{} // closed when state leaves TenantQueued
 }
@@ -152,7 +115,7 @@ func (t *Tenant) Nodes() int {
 func (t *Tenant) Degraded() bool {
 	t.svc.mu.Lock()
 	defer t.svc.mu.Unlock()
-	return t.degraded
+	return t.nodes > 0 && t.nodes < t.need
 }
 
 // Cluster returns the tenant's live cluster (nil unless Running). The
@@ -223,48 +186,34 @@ func (s *Service) Submit(spec RunSpec) (*Tenant, error) {
 	}
 	s.tenants = append(s.tenants, t)
 
-	if t.need <= s.freeNodes {
-		s.startLocked(t, t.need)
-		return t, t.err
-	}
-	switch s.opts.Admission {
-	case AdmitReject:
+	grants, queued := s.adm.Submit(t, t.need, spec.Priority, spec.Deadline)
+	if len(grants) == 0 && !queued {
 		s.rejectLocked(t, fmt.Errorf(
-			"cluster: tenant %d needs %d nodes, %d free", t.id, t.need, s.freeNodes))
-		return t, t.err
-	case AdmitDegrade:
-		if s.freeNodes > 0 {
-			s.startLocked(t, s.freeNodes)
-			return t, t.err
-		}
-		fallthrough // nothing free: even a degraded tenant must wait
-	default: // AdmitFIFO, AdmitDeadline
-		s.queue = append(s.queue, t)
-		if len(s.queue) > s.maxQueued {
-			s.maxQueued = len(s.queue)
-		}
+			"cluster: tenant %d needs %d nodes, %d free", t.id, t.need, s.adm.Free()))
 	}
-	return t, nil
+	s.startLocked(grants)
+	return t, t.err
 }
 
-// startLocked admits t on `grant` nodes. Callers hold s.mu.
-func (s *Service) startLocked(t *Tenant, grant int) {
-	cc := s.cc
-	cc.Platform = cc.Platform.WithNodes(grant)
-	c, err := newTenantCluster(cc, t.spec, t.id)
-	if err != nil {
-		s.rejectLocked(t, err)
-		return
+// startLocked starts every grant. A grant whose cluster cannot be built
+// rejects its tenant and hands the nodes back to the admission core,
+// which may grant them onward. Callers hold s.mu.
+func (s *Service) startLocked(grants []Grant[*Tenant]) {
+	for i := 0; i < len(grants); i++ {
+		g, t := grants[i], grants[i].Job
+		cc := s.cc
+		cc.Platform = cc.Platform.WithNodes(g.Nodes)
+		c, err := newTenantCluster(cc, t.spec, t.id)
+		if err != nil {
+			s.rejectLocked(t, err)
+			grants = append(grants, s.adm.Release(g.Nodes)...)
+			continue
+		}
+		t.nodes = g.Nodes
+		t.cluster = c
+		t.state = TenantRunning
+		close(t.decided)
 	}
-	s.freeNodes -= grant
-	t.nodes = grant
-	t.degraded = grant < t.need
-	if t.degraded {
-		s.degraded++
-	}
-	t.cluster = c
-	t.state = TenantRunning
-	close(t.decided)
 }
 
 // rejectLocked refuses t with err. Callers hold s.mu.
@@ -284,19 +233,16 @@ func (t *Tenant) Finish() error { return t.svc.end(t, TenantDone) }
 // in-flight batches are returned, and the cores go back to the pool.
 func (t *Tenant) Evict() error { return t.svc.end(t, TenantEvicted) }
 
-// end is the shared teardown of Finish and Evict.
+// end is the shared teardown of Finish and Evict. On a queued tenant
+// both withdraw it: it is rejected and the queue re-dispatched, since
+// it may have been the head holding narrower tenants back.
 func (s *Service) end(t *Tenant, final TenantState) error {
 	s.mu.Lock()
 	if t.state != TenantRunning {
-		// Not running: dequeue if queued, keep terminal states as-is.
+		// Not running: withdraw if queued, keep terminal states as-is.
 		if t.state == TenantQueued {
-			for i, q := range s.queue {
-				if q == t {
-					s.queue = append(s.queue[:i], s.queue[i+1:]...)
-					break
-				}
-			}
 			s.rejectLocked(t, fmt.Errorf("cluster: tenant %d withdrawn while queued", t.id))
+			s.startLocked(s.adm.Withdraw(t))
 		}
 		err := t.err
 		s.mu.Unlock()
@@ -319,53 +265,10 @@ func (s *Service) end(t *Tenant, final TenantState) error {
 	t.state = final
 	t.err = err
 	t.final = final2
-	s.freeNodes += t.nodes
-	s.dispatchLocked()
+	s.startLocked(s.adm.Release(t.nodes))
 	s.mu.Unlock()
 	return err
 }
-
-// dispatchLocked starts queued tenants that now fit, in policy order.
-// Head-of-line blocking is deliberate for FIFO and EDF: a wide tenant
-// at the head is not overtaken by narrow latecomers, mirroring the
-// broker's own anti-starvation rule. Callers hold s.mu.
-func (s *Service) dispatchLocked() {
-	if s.opts.Admission == AdmitDeadline {
-		// Highest priority first, then earliest deadline, then arrival.
-		sort.SliceStable(s.queue, func(i, j int) bool {
-			a, b := s.queue[i], s.queue[j]
-			if a.spec.Priority != b.spec.Priority {
-				return a.spec.Priority > b.spec.Priority
-			}
-			da, db := a.spec.Deadline, b.spec.Deadline
-			if da <= 0 {
-				da = infDeadline
-			}
-			if db <= 0 {
-				db = infDeadline
-			}
-			if da != db {
-				return da < db
-			}
-			return a.id < b.id
-		})
-	}
-	for len(s.queue) > 0 {
-		t := s.queue[0]
-		grant := t.need
-		if grant > s.freeNodes {
-			if s.opts.Admission != AdmitDegrade || s.freeNodes <= 0 {
-				return
-			}
-			grant = s.freeNodes
-		}
-		s.queue = s.queue[1:]
-		s.startLocked(t, grant)
-	}
-}
-
-// infDeadline stands in for "no deadline" in EDF ordering.
-const infDeadline = 1e18
 
 // ServiceStats is the cross-tenant rollup: per-tenant Stats plus their
 // sum and the admission counters. PerTenant holds every tenant that
@@ -390,20 +293,16 @@ func (s *Service) Stats() ServiceStats {
 	s.mu.Lock()
 	out := ServiceStats{
 		Submitted: len(s.tenants),
-		Degraded:  s.degraded,
-		MaxQueued: s.maxQueued,
+		Degraded:  s.adm.Degraded(),
+		MaxQueued: s.adm.MaxQueued(),
 		PerTenant: map[int]Stats{},
 	}
-	type live struct {
-		id int
-		c  *Cluster
-	}
-	var lives []live
+	lives := map[int]*Cluster{}
 	for _, t := range s.tenants {
 		switch t.state {
 		case TenantRunning:
 			out.Running++
-			lives = append(lives, live{t.id, t.cluster})
+			lives[t.id] = t.cluster
 		case TenantQueued:
 			out.Queued++
 		case TenantDone:
@@ -419,8 +318,8 @@ func (s *Service) Stats() ServiceStats {
 	s.mu.Unlock()
 	// Live clusters are snapshotted outside s.mu: Cluster.Stats takes
 	// the cluster's own lock and reads the shared broker.
-	for _, l := range lives {
-		out.PerTenant[l.id] = l.c.Stats()
+	for id, c := range lives {
+		out.PerTenant[id] = c.Stats()
 	}
 	for _, st := range out.PerTenant {
 		out.Total.add(st)
@@ -434,10 +333,9 @@ func (s *Service) Stats() ServiceStats {
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	for _, t := range s.queue {
+	for _, t := range s.adm.Drain() {
 		s.rejectLocked(t, fmt.Errorf("cluster: service closed while tenant %d queued", t.id))
 	}
-	s.queue = nil
 	var running []*Tenant
 	for _, t := range s.tenants {
 		if t.state == TenantRunning {

@@ -180,6 +180,55 @@ func TestServiceAdmissionFIFOQueue(t *testing.T) {
 	}
 }
 
+// TestServiceWithdrawQueuedHeadRedispatches withdraws a queue head that
+// was blocking a narrower tenant while enough nodes were free for the
+// narrower one: the withdrawal must dispatch it at once, not leave it
+// waiting for some unrelated tenant to end.
+func TestServiceWithdrawQueuedHeadRedispatches(t *testing.T) {
+	svc, err := NewService(ClusterConfig{
+		Platform: topology.Platform{Name: "svc", Nodes: 4, CoresPerNode: 2},
+		Store:    storage.NewMemory(nil, 2, 1e9),
+	}, ServiceOptions{Admission: AdmitFIFO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(nodes int) *Tenant {
+		t.Helper()
+		tn, err := svc.Submit(RunSpec{Meta: serviceMeta(t), Quota: Quota{Nodes: nodes}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tn
+	}
+	a, a2 := submit(2), submit(1)
+	b, c := submit(4), submit(2)
+	if b.State() != TenantQueued || c.State() != TenantQueued {
+		t.Fatalf("B %s, C %s, want both queued", b.State(), c.State())
+	}
+	if err := a2.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if c.State() != TenantQueued {
+		t.Fatalf("C %s overtook the queue head, want queued", c.State())
+	}
+	if err := b.Evict(); err == nil || b.State() != TenantRejected {
+		t.Fatalf("withdrawn B: err=%v state=%s, want a withdrawal error and rejected", err, b.State())
+	}
+	if c.State() != TenantRunning || c.Nodes() != 2 {
+		t.Fatalf("C stays %s with 2 nodes free (granted %d), want running on 2",
+			c.State(), c.Nodes())
+	}
+	for _, tn := range []*Tenant{a, c} {
+		if err := tn.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ss := svc.Stats(); ss.Completed != 3 || ss.Rejected != 1 || ss.Queued != 0 {
+		t.Fatalf("completed %d rejected %d queued %d, want 3/1/0",
+			ss.Completed, ss.Rejected, ss.Queued)
+	}
+}
+
 // TestServiceAdmissionReject refuses the tenant that does not fit.
 func TestServiceAdmissionReject(t *testing.T) {
 	svc, err := NewService(ClusterConfig{

@@ -407,9 +407,6 @@ func (e *Engine) NewResource(capacity int) *Resource {
 	return &Resource{eng: e, capacity: capacity}
 }
 
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
 // QueueLen returns the number of waiting processes.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -135,7 +136,7 @@ func RunE7S(opts Options) (Report, error) {
 	des.AddRow("file-then-read", desFile.MeanAnalysisLatency(), desFile.FramesAnalyzed,
 		stats.GB(desFile.BytesWritten))
 
-	policies := []storage.SlowPolicy{storage.DropOldest, storage.Block, storage.Sample}
+	policies := storage.SlowPolicies()
 	if opts.StreamPolicy != "" {
 		policies = []storage.SlowPolicy{slowPolicy}
 	}
@@ -208,7 +209,7 @@ func RunE7S(opts Options) (Report, error) {
 	}
 	// The per-policy checks only apply when that policy actually ran:
 	// -stream-policy pins the sweep to a single leg.
-	if hasPolicy(policies, storage.DropOldest) {
+	if slices.Contains(policies, storage.DropOldest) {
 		rep.Checks = append(rep.Checks,
 			Check{
 				Name:     "DES: drop-oldest never blocks the publisher",
@@ -221,7 +222,7 @@ func RunE7S(opts Options) (Report, error) {
 				Measured: float64(desDrop.FramesDropped), Unit: "frames", Lo: 1,
 			})
 	}
-	if hasPolicy(policies, storage.Block) {
+	if slices.Contains(policies, storage.Block) {
 		rep.Checks = append(rep.Checks, Check{
 			Name:     "DES: block policy measures real backpressure",
 			Paper:    "blocking coupling stalls the pipeline (§V.A)",
@@ -248,15 +249,6 @@ func slowStepBand(pol storage.SlowPolicy) float64 {
 		return 1000
 	}
 	return 3
-}
-
-func hasPolicy(pols []storage.SlowPolicy, want storage.SlowPolicy) bool {
-	for _, p := range pols {
-		if p == want {
-			return true
-		}
-	}
-	return false
 }
 
 func sorted(xs []float64) []float64 {

@@ -424,7 +424,7 @@ func runDamaris(cfg Config) (Result, error) {
 			res.LostBytes += s.lost
 		}
 		for _, q := range tr.insituQs {
-			res.FramesDropped += q.dropped
+			res.FramesDropped += int(q.q.Dropped())
 		}
 	}
 	return res, nil

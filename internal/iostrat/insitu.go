@@ -40,8 +40,8 @@ func ValidateInSituMode(m InSituMode) error {
 
 // InSituConfig prices the paper's §V in-situ story at multi-node scale:
 // one analysis consumer per aggregation-tree root, running on the
-// root's dedicated-core spare time, fed through a bounded queue with
-// the same slow-consumer policies as the runtime streaming face.
+// root's dedicated-core spare time, fed through the same
+// storage.SlowQueue as the runtime streaming face.
 // Tree mode (Config.Fanout >= 2) only.
 type InSituConfig struct {
 	// Mode selects the coupling (InSituOff disables everything).
@@ -91,69 +91,47 @@ func (c InSituConfig) validate(treeMode bool) error {
 	return storage.ValidateSlowPolicy(string(c.Policy))
 }
 
-// insituQ is the DES counterpart of a storage.Subscription: one root's
-// bounded frame queue between its dedicated core (publisher) and its
-// analysis consumer proc, with des.Future parking instead of mutexes —
-// the same discipline as nodeShm. One publisher (the node currently
-// owning the root ordinal) and one consumer per queue.
+// insituQ is the DES driver of one root's storage.SlowQueue, between
+// its dedicated core (publisher) and its analysis consumer proc: the
+// queue applies the slow-consumer rule, and this driver parks on
+// des.Futures instead of channels — the same discipline as nodeShm.
+// Block has no timeout here. One consumer per queue.
 type insituQ struct {
-	eng      *des.Engine
-	capacity int
-	policy   storage.SlowPolicy
-	pending  []shmIter
-	waiting  *des.Future // consumer parked on an empty queue
-	space    *des.Future // Block-policy publisher parked on a full queue
-	closed   bool
-	dropped  int
+	eng     *des.Engine
+	q       *storage.SlowQueue[shmIter, *des.Future]
+	waiting *des.Future // consumer parked on an empty queue
 }
 
-// publish offers one frame under the queue's policy and returns how
-// long the publisher was blocked (non-zero only under storage.Block).
+// publish offers one frame and returns how long the publisher was
+// blocked (non-zero only when a full Block queue parked it).
 func (q *insituQ) publish(p *des.Proc, item shmIter) float64 {
-	blocked := 0.0
-	for {
-		if q.closed {
-			return blocked
-		}
-		if len(q.pending) < q.capacity {
-			q.pending = append(q.pending, item)
-			q.wakeConsumer()
-			return blocked
-		}
-		switch q.policy {
-		case storage.Sample:
-			q.dropped++
-			return blocked
-		case storage.Block:
-			t0 := p.Now()
-			q.space = q.eng.NewFuture()
-			p.Await(q.space)
-			blocked += p.Now() - t0
-		default: // storage.DropOldest
-			q.pending = q.pending[1:]
-			q.dropped++
-		}
+	admitted := q.q.Offer(item, q.eng.NewFuture)
+	if admitted == nil {
+		q.wakeConsumer()
+		return 0
 	}
+	t0 := p.Now()
+	p.Await(admitted)
+	return p.Now() - t0
 }
 
 // take blocks the consumer until a frame is pending, draining the
 // backlog before honouring closure.
 func (q *insituQ) take(p *des.Proc) (shmIter, bool) {
-	for len(q.pending) == 0 {
-		if q.closed {
+	for {
+		item, admitted, ok := q.q.Pop()
+		if ok {
+			if admitted != nil {
+				admitted.Complete()
+			}
+			return item, true
+		}
+		if q.q.Closed() {
 			return shmIter{}, false
 		}
 		q.waiting = q.eng.NewFuture()
 		p.Await(q.waiting)
 	}
-	item := q.pending[0]
-	q.pending = q.pending[1:]
-	if q.space != nil {
-		f := q.space
-		q.space = nil
-		f.Complete()
-	}
-	return item, true
 }
 
 func (q *insituQ) wakeConsumer() {
@@ -167,11 +145,9 @@ func (q *insituQ) wakeConsumer() {
 // close ends the stream: the consumer drains what is queued and exits;
 // a parked Block publisher is released.
 func (q *insituQ) close() {
-	q.closed = true
+	discarded := q.q.Close()
 	q.wakeConsumer()
-	if q.space != nil {
-		f := q.space
-		q.space = nil
+	for _, f := range discarded {
 		f.Complete()
 	}
 }
@@ -202,9 +178,9 @@ func (tr *treeRun) growInsitu(numRoots int) {
 	}
 	for len(tr.insituQs) < numRoots {
 		q := &insituQ{
-			eng:      tr.eng,
-			capacity: tr.cfg.InSitu.Buffer,
-			policy:   tr.cfg.InSitu.Policy,
+			eng: tr.eng,
+			q: storage.NewSlowQueue[shmIter, *des.Future](
+				tr.cfg.InSitu.Buffer, tr.cfg.InSitu.Policy),
 		}
 		tr.insituQs = append(tr.insituQs, q)
 		ord := len(tr.insituQs) - 1

@@ -1,10 +1,11 @@
 // This file is the multi-tenant service model: the DES face of
 // cluster.Service. Where the runtime face hosts a handful of real
 // tenant clusters, this model prices thousands of queued jobs cheaply —
-// one lightweight process per job, a node-counting admission gate in
-// front of the machine, and a shared deadline broker arbitrating the
-// write phases — so E9 can sweep tenancy × arrival rate × admission
-// policy in virtual time.
+// one lightweight process per job, the same cluster.Admission core in
+// front of the machine (driven in event order, queued jobs parked on
+// futures), and a shared deadline broker arbitrating the write phases —
+// so E9 can sweep tenancy × arrival rate × admission policy in virtual
+// time.
 
 package iostrat
 
@@ -161,84 +162,6 @@ func (r ServiceResult) MeanWriteLatency() float64 {
 	return stats.Mean(r.writeLatencies())
 }
 
-// desJob is one job's in-flight state.
-type desJob struct {
-	res     JobResult
-	need    int
-	granted int
-	fut     *des.Future
-	prio    int
-}
-
-// desAdmission is the DES counterpart of cluster.Service admission: a node
-// counter and a policy-ordered queue. The engine is single-threaded, so
-// no locking — everything runs in event order.
-type desAdmission struct {
-	eng       *des.Engine
-	policy    cluster.AdmissionPolicy
-	free      int
-	queue     []*desJob
-	maxQueued int
-}
-
-// admit blocks p until the job has nodes; ok=false means rejected.
-func (ad *desAdmission) admit(p *des.Proc, j *desJob) (granted int, ok bool) {
-	if j.need <= ad.free {
-		ad.free -= j.need
-		return j.need, true
-	}
-	switch ad.policy {
-	case cluster.AdmitReject:
-		return 0, false
-	case cluster.AdmitDegrade:
-		if ad.free > 0 {
-			g := ad.free
-			ad.free = 0
-			return g, true
-		}
-		// Nothing free: even a degradable job waits its turn.
-	}
-	j.fut = ad.eng.NewFuture()
-	ad.queue = append(ad.queue, j)
-	if len(ad.queue) > ad.maxQueued {
-		ad.maxQueued = len(ad.queue)
-	}
-	p.Await(j.fut)
-	return j.granted, true
-}
-
-// release returns nodes and dispatches the queue in policy order, with
-// the same deliberate head-of-line blocking as the runtime face.
-func (ad *desAdmission) release(n int) {
-	ad.free += n
-	if ad.policy == cluster.AdmitDeadline {
-		sort.SliceStable(ad.queue, func(i, k int) bool {
-			a, b := ad.queue[i], ad.queue[k]
-			if a.prio != b.prio {
-				return a.prio > b.prio
-			}
-			if a.res.Deadline != b.res.Deadline {
-				return a.res.Deadline < b.res.Deadline
-			}
-			return a.res.ID < b.res.ID
-		})
-	}
-	for len(ad.queue) > 0 {
-		head := ad.queue[0]
-		g := head.need
-		if g > ad.free {
-			if ad.policy != cluster.AdmitDegrade || ad.free <= 0 {
-				return
-			}
-			g = ad.free
-		}
-		ad.queue = ad.queue[1:]
-		ad.free -= g
-		head.granted = g
-		head.fut.Complete()
-	}
-}
-
 // RunService executes the multi-tenant DES model and returns its
 // measurements.
 func RunService(cfg ServiceConfig) (ServiceResult, error) {
@@ -278,8 +201,11 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		return ServiceResult{}, fmt.Errorf("iostrat: platform has no PFS bandwidth")
 	}
 
-	ad := &desAdmission{eng: eng, policy: cfg.Admission, free: cfg.Platform.Nodes}
-	jobs := make([]*desJob, cfg.Jobs)
+	// Jobs are their indices in the admission core; a queued job parks
+	// on its future until a release grants it.
+	adm := cluster.NewAdmission[int](cfg.Admission, cfg.Platform.Nodes)
+	jobs := make([]JobResult, cfg.Jobs)
+	granted := make([]*des.Future, cfg.Jobs)
 	nodeBytes := cfg.Workload.NodeBytes(cfg.Platform.CoresPerNode)
 
 	at := 0.0
@@ -299,75 +225,73 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		// Ideal (unqueued, full-grant) runtime prices the deadline.
 		idealWrite := nodeBytes * float64(need) / perWriterBW
 		ideal := float64(iters) * (cfg.Workload.ComputeTime + idealWrite)
-		j := &desJob{
-			need: need,
-			res: JobResult{
-				ID:         i,
-				Arrival:    at,
-				NodesAsked: need,
-				Iterations: iters,
-				Deadline:   at + cfg.DeadlineSlack*ideal,
-			},
+		j := &jobs[i]
+		*j = JobResult{
+			ID:         i,
+			Arrival:    at,
+			NodesAsked: need,
+			Iterations: iters,
+			Deadline:   at + cfg.DeadlineSlack*ideal,
 		}
-		jobs[i] = j
 
 		jitter := root.Child(uint64(i))
 		eng.SpawnAt(at, fmt.Sprintf("job%d", i), func(p *des.Proc) {
-			granted, ok := ad.admit(p, j)
-			if !ok {
-				j.res.Rejected = true
+			grants, queued := adm.Submit(i, need, 0, j.Deadline)
+			switch {
+			case len(grants) > 0:
+				j.Nodes = grants[0].Nodes
+			case queued:
+				granted[i] = eng.NewFuture()
+				p.Await(granted[i])
+			default:
+				j.Rejected = true
 				return
 			}
-			j.res.AdmitTime = p.Now()
-			j.res.Nodes = granted
-			j.res.Degraded = granted < j.need
-			jobBytes := nodeBytes * float64(granted)
-			j.res.LostBytes = nodeBytes * float64(j.need-granted) * float64(j.res.Iterations)
-			idealWrite := nodeBytes * float64(j.need) / perWriterBW
-			for it := 0; it < j.res.Iterations; it++ {
+			j.AdmitTime = p.Now()
+			j.Degraded = j.Nodes < need
+			jobBytes := nodeBytes * float64(j.Nodes)
+			j.LostBytes = nodeBytes * float64(need-j.Nodes) * float64(j.Iterations)
+			for it := 0; it < j.Iterations; it++ {
 				p.Wait(cfg.Workload.ComputeTime * jitter.UnitLogNormal(cfg.Workload.ComputeJitter))
 				g := broker.AcquireSim(p, storage.TokenRequest{
-					Holder:   j.res.ID,
-					Tenant:   j.res.ID,
-					Targets:  []int{j.res.ID % cfg.WriteSlots},
-					Deadline: j.res.Deadline,
+					Holder:   j.ID,
+					Tenant:   j.ID,
+					Targets:  []int{j.ID % cfg.WriteSlots},
+					Deadline: j.Deadline,
 					Bytes:    jobBytes,
 				})
 				p.Wait(jobBytes / perWriterBW *
 					jitter.UnitLogNormal(cfg.Platform.PFS.JitterSigma))
 				g.Release()
-				j.res.Bytes += jobBytes
+				j.Bytes += jobBytes
 				// Latency against the job's ideal schedule: admitted at
 				// arrival, never queued, full grant. Admission and broker
 				// waits both surface here — the tail E9 compares.
-				idealDone := j.res.Arrival +
+				idealDone := j.Arrival +
 					float64(it+1)*(cfg.Workload.ComputeTime+idealWrite)
-				j.res.WriteLatencies = append(j.res.WriteLatencies, p.Now()-idealDone)
+				j.WriteLatencies = append(j.WriteLatencies, p.Now()-idealDone)
 			}
-			j.res.Finish = p.Now()
-			ad.release(granted)
+			j.Finish = p.Now()
+			for _, g := range adm.Release(j.Nodes) {
+				jobs[g.Job].Nodes = g.Nodes
+				granted[g.Job].Complete()
+			}
 		})
 	}
 	eng.Run()
 
-	out := ServiceResult{Config: cfg, MaxQueued: ad.maxQueued}
+	out := ServiceResult{Config: cfg, Jobs: jobs,
+		Degraded: adm.Degraded(), MaxQueued: adm.MaxQueued()}
 	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, j.res)
-		switch {
-		case j.res.Rejected:
+		if j.Rejected {
 			out.Rejected++
-		default:
-			out.Admitted++
-			if j.res.Degraded {
-				out.Degraded++
-			}
-			out.AdmissionWaitTime += j.res.AdmitTime - j.res.Arrival
-			if j.res.Finish > out.TotalTime {
-				out.TotalTime = j.res.Finish
-			}
-			if j.res.MissedDeadline() {
-				out.DeadlinesMissed++
-			}
+			continue
+		}
+		out.Admitted++
+		out.AdmissionWaitTime += j.AdmitTime - j.Arrival
+		out.TotalTime = max(out.TotalTime, j.Finish)
+		if j.MissedDeadline() {
+			out.DeadlinesMissed++
 		}
 	}
 	out.TokenWaitTime = broker.Stats().WaitTime

@@ -28,9 +28,6 @@ func NewQueue[T any](capacity int) *Queue[T] {
 	return q
 }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return len(q.buf) }
-
 // Len returns the number of queued messages.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()

@@ -19,42 +19,6 @@ var ErrStreamClosed = errors.New("storage: stream closed")
 // was already queued). Callers should test with errors.Is.
 var ErrSlowConsumer = errors.New("storage: subscriber too slow, detached")
 
-// SlowPolicy names what a publisher does when a subscriber's bounded
-// queue is full. The choice trades the publisher's latency against the
-// subscriber's completeness — see docs/STREAMING.md.
-type SlowPolicy string
-
-const (
-	// DropOldest evicts the oldest queued message to make room for the
-	// new one. The publisher never blocks and the subscriber always sees
-	// the most recent Buffer messages — staleness is bounded, coverage
-	// is not. This is the default, and the only policy safe on the
-	// cluster write path without a timeout.
-	DropOldest SlowPolicy = "drop-oldest"
-	// Block makes the publisher wait for queue space up to
-	// SubOptions.BlockTimeout — real backpressure, full coverage — and
-	// detach the subscriber with ErrSlowConsumer when the wait runs out.
-	Block SlowPolicy = "block"
-	// Sample drops the incoming message when the queue is full: the
-	// publisher never blocks and the subscriber sees an in-order
-	// subsample of the stream (older queued messages are never
-	// displaced, so what it sees is a prefix-preserving subsequence).
-	Sample SlowPolicy = "sample"
-)
-
-// SlowPolicies lists the slow-consumer policies.
-func SlowPolicies() []SlowPolicy { return []SlowPolicy{DropOldest, Block, Sample} }
-
-// ValidateSlowPolicy checks a user-supplied policy name ("" means
-// DropOldest).
-func ValidateSlowPolicy(p string) error {
-	switch SlowPolicy(p) {
-	case "", DropOldest, Block, Sample:
-		return nil
-	}
-	return fmt.Errorf("storage: unknown slow-consumer policy %q (have %v)", p, SlowPolicies())
-}
-
 // StreamMsg is one published object: the name it was (or is about to
 // be) stored under, a stream-wide sequence number, and the payload.
 // Data is shared read-only among all subscribers — receivers must not
@@ -131,10 +95,16 @@ func NewStream() *Stream {
 // subscription is returned already closed (Recv fails fast with
 // ErrStreamClosed).
 func (s *Stream) Subscribe(opts SubOptions) *Subscription {
-	sub := newSubscription(s, opts.withDefaults())
+	opts = opts.withDefaults()
+	sub := &Subscription{
+		stream:   s,
+		timeout:  opts.BlockTimeout,
+		q:        NewSlowQueue[StreamMsg, chan struct{}](opts.Buffer, opts.Policy),
+		notEmpty: make(chan struct{}, 1),
+	}
 	s.mu.Lock()
 	if s.closed {
-		sub.closed = true
+		sub.q.Close()
 	} else {
 		s.subs[sub] = struct{}{}
 	}
@@ -202,13 +172,10 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
-	subs := make([]*Subscription, 0, len(s.subs))
-	for sub := range s.subs {
-		subs = append(subs, sub)
-	}
+	subs := s.subs
 	s.subs = map[*Subscription]struct{}{}
 	s.mu.Unlock()
-	for _, sub := range subs {
+	for sub := range subs {
 		sub.close(nil)
 	}
 }
@@ -221,36 +188,18 @@ func (s *Stream) detach(sub *Subscription) {
 	s.mu.Unlock()
 }
 
-// Subscription is one subscriber's bounded FIFO view of a Stream.
-// Recv is single-consumer; the counters and Cancel are safe from any
-// goroutine.
+// Subscription is one subscriber's bounded FIFO view of a Stream: a
+// SlowQueue whose parked Block publishers wait on channels, detaching
+// the subscriber after BlockTimeout. Recv is single-consumer; the
+// counters and Cancel are safe from any goroutine.
 type Subscription struct {
-	stream *Stream
-	opts   SubOptions
+	stream  *Stream
+	timeout time.Duration
 
 	mu       sync.Mutex
-	queue    []StreamMsg
-	waiting  []waiter // Block-policy messages past a full queue, in order
-	closed   bool     // no more messages will be queued
-	failed   error    // terminal error after the backlog drains
-	dropped  uint64
+	q        *SlowQueue[StreamMsg, chan struct{}]
+	failed   error         // terminal error after the backlog drains
 	notEmpty chan struct{} // 1-buffered wakeup for Recv
-}
-
-// waiter is one Block-policy message its publisher is holding for:
-// admitted closes once the message enters the queue or the
-// subscription closes (the message is then discarded).
-type waiter struct {
-	msg      StreamMsg
-	admitted chan struct{}
-}
-
-func newSubscription(s *Stream, opts SubOptions) *Subscription {
-	return &Subscription{
-		stream:   s,
-		opts:     opts,
-		notEmpty: make(chan struct{}, 1),
-	}
 }
 
 // signal performs a non-blocking send on a 1-buffered wakeup channel.
@@ -261,58 +210,27 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// offer enqueues one message under this subscription's slow-consumer
-// policy without blocking. A Block-policy subscriber with a full queue
-// parks the message behind the queue, in order, and returns the channel
-// its publisher awaits. The stream holds its lock across offers.
+// offer hands one message to the queue without blocking. A parked
+// Block publisher awaits the returned channel, closed once its message
+// is admitted or discarded. The stream holds its lock across offers.
 func (c *Subscription) offer(msg StreamMsg) (admitted chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case c.closed:
-	case len(c.queue) < c.opts.Buffer:
-		c.queue = append(c.queue, msg)
-		signal(c.notEmpty)
-	case c.opts.Policy == Sample:
-		// Drop the newcomer: what stays queued is an in-order subsample
-		// the consumer will still see oldest-first.
-		c.dropped++
-	case c.opts.Policy == Block:
-		admitted = make(chan struct{})
-		c.waiting = append(c.waiting, waiter{msg, admitted})
-	default: // DropOldest
-		c.queue = append(c.queue[1:], msg)
-		c.dropped++
-	}
-	return admitted
+	signal(c.notEmpty)
+	return c.q.Offer(msg, func() chan struct{} { return make(chan struct{}) })
 }
 
 // await is a Block-policy publisher's backpressure: it waits for the
 // consumer to admit its message, up to the subscriber's timeout — then
 // detaches the laggard rather than hold the write path hostage.
 func (c *Subscription) await(admitted chan struct{}) {
-	timer := time.NewTimer(c.opts.BlockTimeout)
+	timer := time.NewTimer(c.timeout)
 	defer timer.Stop()
 	select {
 	case <-admitted:
 	case <-timer.C:
 		c.close(ErrSlowConsumer)
 	}
-}
-
-// pop dequeues the oldest message and admits the oldest parked one into
-// the freed slot. Callers hold c.mu and have checked the queue is not
-// empty.
-func (c *Subscription) pop() StreamMsg {
-	msg := c.queue[0]
-	c.queue = c.queue[1:]
-	if len(c.waiting) > 0 {
-		w := c.waiting[0]
-		c.waiting = c.waiting[1:]
-		c.queue = append(c.queue, w.msg)
-		close(w.admitted)
-	}
-	return msg
 }
 
 // Recv returns the next message, blocking until one arrives or the
@@ -322,21 +240,10 @@ func (c *Subscription) pop() StreamMsg {
 // timeout). Recv must not be called concurrently with itself.
 func (c *Subscription) Recv() (StreamMsg, error) {
 	for {
-		c.mu.Lock()
-		if len(c.queue) > 0 {
-			msg := c.pop()
-			c.mu.Unlock()
-			return msg, nil
+		msg, ok, err := c.TryRecv()
+		if ok || err != nil {
+			return msg, err
 		}
-		if c.closed {
-			err := c.failed
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrStreamClosed
-			}
-			return StreamMsg{}, err
-		}
-		c.mu.Unlock()
 		<-c.notEmpty
 	}
 }
@@ -347,15 +254,19 @@ func (c *Subscription) Recv() (StreamMsg, error) {
 func (c *Subscription) TryRecv() (msg StreamMsg, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.queue) > 0 {
-		return c.pop(), true, nil
+	msg, admitted, ok := c.q.Pop()
+	if admitted != nil {
+		close(admitted) // its message took the freed slot
 	}
-	if c.closed {
+	if ok {
+		return msg, true, nil
+	}
+	if c.q.Closed() {
 		if err = c.failed; err == nil {
 			err = ErrStreamClosed
 		}
 	}
-	return StreamMsg{}, false, err
+	return msg, false, err
 }
 
 // Cancel detaches the subscription. Pending messages remain readable;
@@ -368,14 +279,14 @@ func (c *Subscription) Cancel() { c.close(nil) }
 func (c *Subscription) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dropped
+	return c.q.Dropped()
 }
 
 // Pending returns the current queue depth.
 func (c *Subscription) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.queue)
+	return c.q.Len()
 }
 
 // close marks the subscription terminal with cause (nil = plain close),
@@ -383,14 +294,12 @@ func (c *Subscription) Pending() int {
 func (c *Subscription) close(cause error) {
 	c.stream.detach(c)
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
+	if !c.q.Closed() {
 		c.failed = cause
 	}
-	for _, w := range c.waiting {
-		close(w.admitted)
+	for _, admitted := range c.q.Close() {
+		close(admitted)
 	}
-	c.waiting = nil
 	c.mu.Unlock()
 	signal(c.notEmpty)
 }
