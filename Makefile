@@ -30,7 +30,7 @@ PPROF_PKG ?= .
 .PHONY: build test vet fmt fmt-check bench bench-json bench-compare \
 	pprof-cpu pprof-alloc cover-check tidy-check \
 	stress fuzz-smoke lint docs-check \
-	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 ci
+	smoke smoke-e6-cross smoke-r1 smoke-c1 ci
 
 build:
 	$(GO) build ./...
@@ -45,45 +45,18 @@ stress:
 	$(GO) test -race -count=50 -run 'Failure|Reform|Reroute|Service|Broker' ./internal/cluster ./internal/storage
 	$(GO) test -count=50 -run 'Failure|Reform|Reroute|Service|Broker' ./internal/cluster ./internal/storage
 
-# Experiment smoke matrix — one target per experiment so a broken
-# experiment names itself in the CI job list (ci.yml fans these out via
-# strategy.matrix).
-smoke-e1:
-	$(GO) run ./cmd/damaris-bench -quick -exp e1
-
-smoke-e6:
-	$(GO) run ./cmd/damaris-bench -quick -exp e6
+# Experiment smoke run at quick scale: `make smoke EXP=<id>` for any
+# registered id (`damaris-bench -list`). ci.yml fans the ids out via
+# strategy.matrix so a broken experiment names itself in the job list;
+# the smoke-* targets below are the modes that take several commands.
+smoke:
+	@test -n "$(EXP)" || { echo "usage: make smoke EXP=<experiment id>"; exit 2; }
+	$(GO) run ./cmd/damaris-bench -quick -exp $(EXP)
 
 # The cross-root E6 mode: -sched cluster-token restricts E6 to the
 # cluster-wide token sweep (DES + runtime faces).
 smoke-e6-cross:
 	$(GO) run ./cmd/damaris-bench -quick -exp e6 -sched cluster-token
-
-# E9 multi-tenant admission at smoke scale: the full tenancy × arrival
-# × policy sweep including the EDF-beats-FIFO tail check.
-smoke-e9:
-	$(GO) run ./cmd/damaris-bench -quick -exp e9
-
-# E10 incremental checkpoints at smoke scale: the overwrite-fraction
-# dedup sweep plus the retention/GC leg, on both faces.
-smoke-e10:
-	$(GO) run ./cmd/damaris-bench -quick -exp e10
-
-# E7S streaming pipeline at smoke scale: streaming vs file-then-read on
-# the runtime and DES faces, plus the slow-consumer policy sweep.
-smoke-e7s:
-	$(GO) run ./cmd/damaris-bench -quick -exp e7s
-
-# E11 scenario × adaptation sweep at smoke scale: every deterministic
-# workload generator under static and adaptive trees on the DES face,
-# plus the runtime-face NIC-step replay with a streaming subscriber.
-smoke-e11:
-	$(GO) run ./cmd/damaris-bench -quick -exp e11
-
-# F1 failure-injection experiment at smoke scale: small node count,
-# fixed seed, both the DES and the runtime cluster sweeps.
-smoke-f1:
-	$(GO) run ./cmd/damaris-bench -quick -exp f1
 
 # R1 checkpoint/restart experiment at smoke scale: write objects +
 # manifests into an sdf store, restore them, then replay the artifacts
@@ -189,4 +162,5 @@ tidy-check:
 	$(GO) mod tidy -diff
 
 ci: build vet fmt-check tidy-check docs-check test stress cover-check bench \
-	smoke-e1 smoke-e6 smoke-e6-cross smoke-f1 smoke-r1 smoke-c1 smoke-e9 smoke-e10 smoke-e7s smoke-e11 fuzz-smoke
+	smoke-e6-cross smoke-r1 smoke-c1 fuzz-smoke
+	@for e in e1 e5 e6 f1 e9 e10 e7s e11; do $(MAKE) --no-print-directory smoke EXP=$$e || exit 1; done

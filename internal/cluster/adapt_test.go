@@ -13,10 +13,10 @@ import (
 func collectBlocks(t *testing.T, store *storage.Memory) map[int]map[[2]int]bool {
 	t.Helper()
 	got := map[int]map[[2]int]bool{}
-	for _, name := range dataNames(store.ObjectNames()) {
-		obj, ok := store.Object(name)
-		if !ok {
-			t.Fatalf("listed object %s vanished", name)
+	for _, name := range dataNames(listNames(t, store)) {
+		obj, err := store.Get(name)
+		if err != nil {
+			t.Fatalf("listed object %s vanished: %v", name, err)
 		}
 		b, err := DecodeBatch(obj)
 		if err != nil {
@@ -149,12 +149,16 @@ func TestAdaptReformRaceWithStreaming(t *testing.T) {
 		}
 	}()
 
+	// Writers start after the first re-formation, so the reform loop
+	// overlaps the writes instead of racing the scheduler to run at all.
+	firstReform := make(chan struct{})
 	var writerWG sync.WaitGroup
 	for n := 0; n < nodes; n++ {
 		for s := 0; s < clients; s++ {
 			writerWG.Add(1)
 			go func(n, s int) {
 				defer writerWG.Done()
+				<-firstReform
 				cl := c.Client(n, s)
 				for it := 0; it < iters; it++ {
 					if err := cl.Write("theta", it, payload(n, s, it)); err != nil {
@@ -180,7 +184,11 @@ func TestAdaptReformRaceWithStreaming(t *testing.T) {
 			default:
 			}
 			sh := shapes[i%len(shapes)]
-			if _, err := c.Reform(sh[0], sh[1]); err != nil {
+			_, err := c.Reform(sh[0], sh[1])
+			if i == 0 {
+				close(firstReform)
+			}
+			if err != nil {
 				t.Errorf("reform %v: %v", sh, err)
 				return
 			}

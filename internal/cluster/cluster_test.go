@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -138,6 +137,30 @@ func dataNames(names []string) []string {
 	return out
 }
 
+// listNames returns every object name in store.
+func listNames(t *testing.T, store storage.ObjectReader) []string {
+	t.Helper()
+	names, err := store.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// storedObjects returns every object in store by name.
+func storedObjects(t *testing.T, store storage.ObjectReader) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, name := range listNames(t, store) {
+		data, err := store.Get(name)
+		if err != nil {
+			t.Fatalf("listed object %s: %v", name, err)
+		}
+		out[name] = data
+	}
+	return out
+}
+
 func keys(m map[string][]byte) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -197,15 +220,15 @@ func TestClusterFanInCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	names := dataNames(store.ObjectNames())
+	names := dataNames(listNames(t, store))
 	if len(names) != iters {
 		t.Fatalf("stored %d data objects, want %d (one per iteration): %v", len(names), iters, names)
 	}
 	for it := 0; it < iters; it++ {
 		name := fmt.Sprintf("clustertest-root000-it%06d", it)
-		obj, ok := store.Object(name)
-		if !ok {
-			t.Fatalf("missing object %s (have %v)", name, names)
+		obj, err := store.Get(name)
+		if err != nil {
+			t.Fatalf("missing object %s (have %v): %v", name, names, err)
 		}
 		b, err := DecodeBatch(obj)
 		if err != nil {
@@ -273,7 +296,7 @@ func TestClusterMultiRoot(t *testing.T) {
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(dataNames(store.ObjectNames())); n != roots*iters {
+	if n := len(dataNames(listNames(t, store))); n != roots*iters {
 		t.Fatalf("stored %d data objects, want %d", n, roots*iters)
 	}
 	// The union of the four subtree objects must cover every node
@@ -281,9 +304,9 @@ func TestClusterMultiRoot(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		covered := map[int]bool{}
 		for _, root := range c.Tree().Roots() {
-			obj, ok := store.Object(fmt.Sprintf("clustertest-root%03d-it%06d", root, it))
-			if !ok {
-				t.Fatalf("missing object for root %d it %d", root, it)
+			obj, err := store.Get(fmt.Sprintf("clustertest-root%03d-it%06d", root, it))
+			if err != nil {
+				t.Fatalf("missing object for root %d it %d: %v", root, it, err)
 			}
 			b, err := DecodeBatch(obj)
 			if err != nil {
@@ -325,19 +348,7 @@ func TestBackendSwapEquivalence(t *testing.T) {
 		if err := c.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
-		type reader interface {
-			Object(string) ([]byte, bool)
-			ObjectNames() []string
-		}
-		out := map[string][]byte{}
-		for _, name := range store.(reader).ObjectNames() {
-			data, ok := store.(reader).Object(name)
-			if !ok {
-				t.Fatalf("object %s vanished", name)
-			}
-			out[name] = data
-		}
-		return out
+		return storedObjects(t, store.(storage.ObjectReader))
 	}
 	a, b := objects(mem), objects(sdfB)
 	if len(a) != len(b) || len(dataNames(keys(a))) != iters {
@@ -460,14 +471,7 @@ func TestClusterDeterministicObjects(t *testing.T) {
 		if err := c.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
-		out := map[string][]byte{}
-		names := store.ObjectNames()
-		sort.Strings(names)
-		for _, n := range names {
-			d, _ := store.Object(n)
-			out[n] = d
-		}
-		return out
+		return storedObjects(t, store)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

@@ -195,9 +195,9 @@ func TestClusterInteriorFailure(t *testing.T) {
 	}
 
 	for it := 0; it < iters; it++ {
-		obj, ok := store.Object(fmt.Sprintf("clustertest-root000-it%06d", it))
-		if !ok {
-			t.Fatalf("missing root object for iteration %d", it)
+		obj, err := store.Get(fmt.Sprintf("clustertest-root000-it%06d", it))
+		if err != nil {
+			t.Fatalf("missing root object for iteration %d: %v", it, err)
 		}
 		b, err := DecodeBatch(obj)
 		if err != nil {
@@ -277,9 +277,9 @@ func TestClusterRootFailure(t *testing.T) {
 	// Every iteration after the death must be stored by the promoted
 	// root and cover the subtree minus the dead node.
 	for it := failAt; it < iters; it++ {
-		obj, ok := store.Object(fmt.Sprintf("clustertest-root007-it%06d", it))
-		if !ok {
-			t.Fatalf("promoted root stored nothing for iteration %d", it)
+		obj, err := store.Get(fmt.Sprintf("clustertest-root007-it%06d", it))
+		if err != nil {
+			t.Fatalf("promoted root stored nothing for iteration %d: %v", it, err)
 		}
 		b, err := DecodeBatch(obj)
 		if err != nil {
@@ -332,12 +332,7 @@ func TestClusterEmptyScheduleIdentical(t *testing.T) {
 				t.Fatalf("Completeness[%d] = %v without failures", it, frac)
 			}
 		}
-		out := map[string][]byte{}
-		for _, n := range store.ObjectNames() {
-			d, _ := store.Object(n)
-			out[n] = d // manifests included: they must be deterministic too
-		}
-		return out
+		return storedObjects(t, store) // manifests included: they must be deterministic too
 	}
 	a, b := run(nil), run(NewFailureSchedule())
 	if len(a) != len(b) || len(a) == 0 {
@@ -379,9 +374,9 @@ func TestClusterCascadingFailures(t *testing.T) {
 		t.Errorf("ReroutedEdges = %d, want 4", st.ReroutedEdges)
 	}
 	// Final iteration: everything except the two dead nodes.
-	obj, ok := store.Object(fmt.Sprintf("clustertest-root000-it%06d", iters-1))
-	if !ok {
-		t.Fatal("missing final object")
+	obj, err := store.Get(fmt.Sprintf("clustertest-root000-it%06d", iters-1))
+	if err != nil {
+		t.Fatalf("missing final object: %v", err)
 	}
 	b, err := DecodeBatch(obj)
 	if err != nil {
@@ -441,9 +436,9 @@ func TestPartialIterationsCountedOncePerIteration(t *testing.T) {
 			st.PartialIterations)
 	}
 	// The straggler data itself must have been stored, not dropped.
-	obj, ok := store.Object("clustertest-root000-it000001")
-	if !ok {
-		t.Fatal("straggler iteration not stored")
+	obj, err := store.Get("clustertest-root000-it000001")
+	if err != nil {
+		t.Fatalf("straggler iteration not stored: %v", err)
 	}
 	b, err := DecodeBatch(obj)
 	if err != nil {

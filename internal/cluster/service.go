@@ -82,7 +82,8 @@ type Tenant struct {
 	nodes   int // granted (may be < need under AdmitDegrade)
 	cluster *Cluster
 	err     error
-	final   Stats // snapshot at Finish/Evict
+	final   Stats         // snapshot at Finish/Evict
+	ending  chan struct{} // set when teardown starts, closed when it ends
 
 	decided chan struct{} // closed when state leaves TenantQueued
 }
@@ -235,7 +236,10 @@ func (t *Tenant) Evict() error { return t.svc.end(t, TenantEvicted) }
 
 // end is the shared teardown of Finish and Evict. On a queued tenant
 // both withdraw it: it is rejected and the queue re-dispatched, since
-// it may have been the head holding narrower tenants back.
+// it may have been the head holding narrower tenants back. A running
+// tenant is torn down once: the first caller does it, and concurrent
+// callers (Finish racing Evict or Close) wait for it and return its
+// error, so the nodes go back to the admission core exactly once.
 func (s *Service) end(t *Tenant, final TenantState) error {
 	s.mu.Lock()
 	if t.state != TenantRunning {
@@ -248,6 +252,12 @@ func (s *Service) end(t *Tenant, final TenantState) error {
 		s.mu.Unlock()
 		return err
 	}
+	if ending := t.ending; ending != nil {
+		s.mu.Unlock()
+		<-ending
+		return t.Err()
+	}
+	t.ending = make(chan struct{})
 	c := t.cluster
 	s.mu.Unlock()
 
@@ -265,6 +275,7 @@ func (s *Service) end(t *Tenant, final TenantState) error {
 	t.state = final
 	t.err = err
 	t.final = final2
+	close(t.ending)
 	s.startLocked(s.adm.Release(t.nodes))
 	s.mu.Unlock()
 	return err

@@ -229,6 +229,64 @@ func TestServiceWithdrawQueuedHeadRedispatches(t *testing.T) {
 	}
 }
 
+// TestServiceConcurrentEndReleasesOnce races Finish, Evict and Close on
+// one running tenant: one caller tears it down, the others wait for
+// that teardown and return its error, and the nodes go back to the
+// admission core once — free nodes equal Platform.Nodes afterwards.
+func TestServiceConcurrentEndReleasesOnce(t *testing.T) {
+	const nodes = 4
+	ends := map[string]func(*Service, *Tenant) error{
+		"finish": func(_ *Service, tn *Tenant) error { return tn.Finish() },
+		"evict":  func(_ *Service, tn *Tenant) error { return tn.Evict() },
+		"close":  func(svc *Service, _ *Tenant) error { return svc.Close() },
+	}
+	mixes := [][]string{
+		{"finish", "evict"}, {"finish", "close"}, {"evict", "close"},
+		{"finish", "finish"}, {"finish", "evict", "close"},
+	}
+	for round := 0; round < 50; round++ {
+		mix := mixes[round%len(mixes)]
+		svc, err := NewService(ClusterConfig{
+			Platform: topology.Platform{Name: "svc", Nodes: nodes, CoresPerNode: 2},
+			Store:    storage.NewMemory(nil, 2, 1e9),
+		}, ServiceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, err := svc.Submit(RunSpec{Meta: serviceMeta(t), Quota: Quota{Nodes: nodes}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make([]error, len(mix))
+		var wg sync.WaitGroup
+		for i, name := range mix {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = ends[name](svc, tn)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		svc.mu.Lock()
+		free := svc.adm.Free()
+		svc.mu.Unlock()
+		if free != nodes {
+			t.Fatalf("round %d %v: %d free nodes after teardown, want %d", round, mix, free, nodes)
+		}
+		if st := tn.State(); st != TenantDone && st != TenantEvicted {
+			t.Fatalf("round %d %v: tenant %s, want done or evicted", round, mix, st)
+		}
+		for i, err := range errs {
+			if err != tn.Err() {
+				t.Fatalf("round %d: %s returned %v, want the teardown's %v", round, mix[i], err, tn.Err())
+			}
+		}
+	}
+}
+
 // TestServiceAdmissionReject refuses the tenant that does not fit.
 func TestServiceAdmissionReject(t *testing.T) {
 	svc, err := NewService(ClusterConfig{

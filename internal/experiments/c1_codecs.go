@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -262,17 +262,6 @@ type c1RoundTripResult struct {
 	manifestCodec bool
 }
 
-// c1ClusterMeta is the tiny per-node configuration of the round-trip
-// cluster: one 64-float variable per client.
-const c1ClusterMeta = `<simulation name="c1">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="64"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
-
 // c1Field is the deterministic payload for (node, source, iteration),
 // compressible and verifiable byte-for-byte after the round trip.
 func c1Field(n, s, it int) []byte {
@@ -302,32 +291,16 @@ func c1RoundTrip(opts Options, kind storage.Kind) (c1RoundTripResult, error) {
 		defer cleanup()
 	}
 	store := storage.NewCompressing(inner, storage.CompressionOptions{Codec: storage.AdaptiveCodec})
-	cfg, err := meta.ParseString(c1ClusterMeta)
-	if err != nil {
-		return c1RoundTripResult{}, err
-	}
 	c, err := cluster.New(cluster.Config{
 		Platform: plat,
-		Meta:     cfg,
+		Meta:     clusterMeta("c1", 64, 1<<20),
 		Fanout:   2,
 		Store:    store,
 	})
 	if err != nil {
 		return c1RoundTripResult{}, err
 	}
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			cl := c.Client(n, s)
-			for it := 0; it < iters; it++ {
-				if err := cl.Write("theta", it, c1Field(n, s, it)); err != nil {
-					return c1RoundTripResult{}, err
-				}
-				cl.EndIteration(it)
-			}
-		}
-	}
-	c.WaitIteration(iters - 1)
-	if err := c.Shutdown(); err != nil {
+	if err := errors.Join(produce(c, iters, c1Field), c.Shutdown()); err != nil {
 		return c1RoundTripResult{}, err
 	}
 	st := c.Stats()

@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/chunk"
@@ -20,18 +19,6 @@ import (
 // static-state extreme, 1 is a full overwrite every iteration (no
 // cross-iteration sharing for the dedup store to find).
 var e10Fracs = []float64{0, 0.25, 0.5, 1}
-
-// e10ClusterMeta uses 2 KiB blocks so each iteration's merged object is
-// large against the chunk size and the boundary dirt around an edit
-// stays a small fraction of the volume.
-const e10ClusterMeta = `<simulation name="e10">
-  <architecture><dedicated cores="1"/><buffer size="4194304"/></architecture>
-  <data>
-    <parameter name="n" value="256"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // e10ChunkParams keeps chunks small against the 32 KiB per-iteration
 // objects of the runtime sweep, so dedup granularity — not boundary
@@ -275,13 +262,12 @@ func storedBytes(be storage.Backend) (float64, error) {
 // runE10Cluster drives one runtime cluster over the given store with
 // per-(node,source,iteration) payloads and returns the write wall time.
 func runE10Cluster(nodes, clients, iters, retain int, store storage.ObjectStore, payload func(node, source, it int) []byte) (time.Duration, error) {
-	cfg, err := meta.ParseString(e10ClusterMeta)
-	if err != nil {
-		return 0, err
-	}
+	// 2 KiB blocks keep each iteration's merged object large against the
+	// chunk size, so the boundary dirt around an edit stays a small
+	// fraction of the volume.
 	c, err := cluster.New(cluster.Config{
 		Platform: topology.Platform{Name: "e10", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
+		Meta:     clusterMeta("e10", 256, 4<<20),
 		Fanout:   2,
 		Store:    store,
 		Retain:   retain,
@@ -290,36 +276,8 @@ func runE10Cluster(nodes, clients, iters, retain int, store storage.ObjectStore,
 		return 0, err
 	}
 	start := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, payload(n, s, it)); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-						}
-						mu.Unlock()
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
-	}
-	wg.Wait()
-	c.WaitIteration(iters - 1)
-	if err := c.Shutdown(); err != nil {
+	if err := errors.Join(produce(c, iters, payload), c.Shutdown()); err != nil {
 		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
 	}
 	return time.Since(start), nil
 }

@@ -7,23 +7,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compress"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
-
-// e11ClusterMeta describes the runtime-face runs: one float64 row per
-// client, small enough that topology mechanics dominate payload cost.
-const e11ClusterMeta = `<simulation name="e11">
-  <architecture><dedicated cores="1"/><buffer size="4194304"/></architecture>
-  <data>
-    <parameter name="n" value="512"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // RunE11 sweeps the deterministic workload scenarios of
 // internal/workload against the two tree-adaptation policies, on both
@@ -289,16 +277,12 @@ func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
 	if err != nil {
 		return e11Run{}, err
 	}
-	metaCfg, err := meta.ParseString(e11ClusterMeta)
-	if err != nil {
-		return e11Run{}, err
-	}
 	mem := storage.NewMemory(nil, 4, 1e9)
 	stream := storage.NewStream()
 	sub := stream.Subscribe(storage.SubOptions{Buffer: nodes * iters})
 	c, err := cluster.New(cluster.Config{
 		Platform: topology.Platform{Name: "e11", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     metaCfg,
+		Meta:     clusterMeta("e11", 512, 4<<20), // topology mechanics dominate payload cost
 		Fanout:   2,
 		Roots:    1,
 		Store:    mem,
@@ -390,14 +374,18 @@ func runE11Cluster(seed uint64, adapt bool) (e11Run, error) {
 		frames:  frames,
 		minComp: minComp,
 	}
+	names, err := mem.List("")
+	if err != nil {
+		return e11Run{}, err
+	}
 	seen := map[[3]int]bool{}
-	for _, name := range mem.ObjectNames() {
+	for _, name := range names {
 		if cluster.IsManifestName(name) {
 			continue
 		}
-		obj, ok := mem.Object(name)
-		if !ok {
-			continue
+		obj, err := mem.Get(name)
+		if err != nil {
+			return e11Run{}, err
 		}
 		b, err := cluster.DecodeBatch(obj)
 		if err != nil {

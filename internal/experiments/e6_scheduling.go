@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topology"
@@ -241,16 +241,6 @@ func runE6CrossRoots(opts Options, rep *Report) error {
 	return nil
 }
 
-// e6RuntimeMeta is the per-node configuration of the runtime face.
-const e6RuntimeMeta = `<simulation name="e6">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="256"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
-
 // pacedStore models the physical storage target behind the runtime
 // cluster: each Put costs a fixed service time, and concurrent streams
 // on the same target interfere — n overlapping streams degrade the
@@ -406,10 +396,6 @@ func runE6Runtime(opts Options, rep *Report) error {
 		contends int
 	}
 	run := func(shared bool) (rtResult, error) {
-		cfg, err := meta.ParseString(e6RuntimeMeta)
-		if err != nil {
-			return rtResult{}, err
-		}
 		// Both trees collide on one paced target, like the DES sweep's
 		// overlapped stripe windows.
 		paced := &pacedStore{
@@ -433,7 +419,7 @@ func runE6Runtime(opts Options, rep *Report) error {
 		}
 		c, err := cluster.New(cluster.Config{
 			Platform:         topology.Platform{Name: "e6", Nodes: rtNodes, CoresPerNode: rtClients + 1},
-			Meta:             cfg,
+			Meta:             clusterMeta("e6", 256, 1<<20),
 			Fanout:           2,
 			Roots:            rtRoots,
 			Store:            paced,
@@ -443,34 +429,8 @@ func runE6Runtime(opts Options, rep *Report) error {
 		if err != nil {
 			return rtResult{}, err
 		}
-		data := make([]byte, 256*8)
-		var wg sync.WaitGroup
-		errs := make(chan error, rtNodes*rtClients)
-		for n := 0; n < rtNodes; n++ {
-			for s := 0; s < rtClients; s++ {
-				wg.Add(1)
-				go func(n, s int) {
-					defer wg.Done()
-					cl := c.Client(n, s)
-					for it := 0; it < rtIters; it++ {
-						if err := cl.Write("theta", it, data); err != nil {
-							errs <- fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-							return
-						}
-						cl.EndIteration(it)
-					}
-				}(n, s)
-			}
-		}
-		wg.Wait()
-		c.WaitIteration(rtIters - 1)
-		if err := c.Shutdown(); err != nil {
+		if err := errors.Join(produce(c, rtIters, fixedPayload(make([]byte, 256*8))), c.Shutdown()); err != nil {
 			return rtResult{}, err
-		}
-		select {
-		case err := <-errs:
-			return rtResult{}, err
-		default:
 		}
 		st := c.Stats()
 		contends := 0

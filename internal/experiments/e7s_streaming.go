@@ -10,23 +10,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compress"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topology"
 )
-
-// e7sClusterMeta is the per-node description of the runtime-face runs:
-// one float64 row per client, small enough that the paced store's
-// artificial write delay dominates every other cost.
-const e7sClusterMeta = `<simulation name="e7s">
-  <architecture><dedicated cores="1"/><buffer size="4194304"/></architecture>
-  <data>
-    <parameter name="n" value="512"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // e7sWriteDelay is the paced store's per-object write latency on the
 // runtime face — the gap a streaming consumer gets to skip.
@@ -318,17 +305,13 @@ func (s *delayedStore) Put(name string, data []byte) error {
 // streaming hook attached and measures, per iteration, how long each
 // consumer path waits for the data.
 func runE7SCluster(nodes, clients, iters int, cons e7sConsumer) (e7sRun, error) {
-	metaCfg, err := meta.ParseString(e7sClusterMeta)
-	if err != nil {
-		return e7sRun{}, err
-	}
 	mem := storage.NewMemory(nil, 4, 1e9)
 	stream := storage.NewStream()
 	sub := stream.Subscribe(cons.opts)
 	c, err := cluster.New(cluster.Config{
 		Platform: topology.Platform{Name: "e7s", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     metaCfg,
-		Fanout:   nodes, // one tree, one root: one object per iteration
+		Meta:     clusterMeta("e7s", 512, 4<<20), // the paced store's delay dominates payload cost
+		Fanout:   nodes,                          // one tree, one root: one object per iteration
 		Store:    &delayedStore{inner: mem, delay: e7sWriteDelay},
 		Hooks:    []cluster.Hook{cluster.NewStreamingHook(stream)},
 	})

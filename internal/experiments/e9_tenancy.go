@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topology"
@@ -171,16 +170,6 @@ func runE9DES(opts Options, rep *Report) error {
 	return nil
 }
 
-// e9Meta is the per-tenant runtime configuration.
-const e9Meta = `<simulation name="e9">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="64"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
-
 // runE9Runtime is the runtime face: two real tenant clusters on one
 // shared sharded broker, checking the token accounting closes.
 func runE9Runtime(opts Options, rep *Report) error {
@@ -208,12 +197,8 @@ func runE9Runtime(opts Options, rep *Report) error {
 	names := []string{"alpha", "beta"}
 	tenants := make([]*cluster.Tenant, len(names))
 	for i, name := range names {
-		mc, err := meta.ParseString(e9Meta)
-		if err != nil {
-			return err
-		}
 		tn, err := svc.Submit(cluster.RunSpec{
-			Meta:    mc,
+			Meta:    clusterMeta("e9", 64, 1<<20),
 			JobName: name,
 			Quota:   cluster.Quota{Nodes: rtNodes / len(names)},
 			Weight:  float64(i + 1),
@@ -294,33 +279,9 @@ func driveE9Tenant(tn *cluster.Tenant, iters int) error {
 	if c == nil {
 		return fmt.Errorf("tenant %d has no cluster (state %s)", tn.ID(), tn.State())
 	}
-	data := make([]byte, 64*8)
-	var wg sync.WaitGroup
-	errs := make(chan error, c.Nodes()*c.ClientsPerNode())
-	for n := 0; n < c.Nodes(); n++ {
-		for s := 0; s < c.ClientsPerNode(); s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, data); err != nil {
-						errs <- fmt.Errorf("tenant %d node %d src %d it %d: %w",
-							tn.ID(), n, s, it, err)
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
+	if err := produce(c, iters, fixedPayload(make([]byte, 64*8))); err != nil {
+		return fmt.Errorf("tenant %d %w", tn.ID(), err)
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-	c.WaitIteration(iters - 1)
 	return nil
 }
 

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topology"
@@ -20,17 +19,6 @@ var f1Rates = []float64{0, 0.15, 0.3}
 // output) for the §V.C skip-policy baseline rows: at 1.0 the segment
 // holds exactly one pending iteration, below it every offer fails.
 var f1ShmFactors = []float64{1.0, 0.75}
-
-// f1ClusterMeta is the per-node configuration of the runtime-cluster
-// side of the sweep: one 512-byte variable per client.
-const f1ClusterMeta = `<simulation name="f1">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="64"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // RunF1 measures the data-loss / end-to-end-latency trade of losing
 // aggregation nodes (ROADMAP open item 1): a seeded random failure
@@ -204,13 +192,9 @@ func f1ClusterLoss(st cluster.Stats, nodes, iters int) float64 {
 // workload, and returns the final stats and the wall-clock time of the
 // run (the runtime side's end-to-end latency).
 func runF1Cluster(nodes, clients, iters int, sched *cluster.FailureSchedule) (cluster.Stats, time.Duration, error) {
-	cfg, err := meta.ParseString(f1ClusterMeta)
-	if err != nil {
-		return cluster.Stats{}, 0, err
-	}
 	c, err := cluster.New(cluster.Config{
 		Platform: topology.Platform{Name: "f1", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
+		Meta:     clusterMeta("f1", 64, 1<<20), // one 512-byte variable per client
 		Fanout:   2,
 		Store:    storage.NewMemory(nil, 4, 1e9),
 		Failures: sched,
@@ -219,41 +203,10 @@ func runF1Cluster(nodes, clients, iters int, sched *cluster.FailureSchedule) (cl
 		return cluster.Stats{}, 0, err
 	}
 	start := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	data := make([]byte, 64*8)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, data); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-						}
-						mu.Unlock()
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
-	}
-	wg.Wait()
-	c.WaitIteration(iters - 1)
+	perr := produce(c, iters, fixedPayload(rampBlock()))
 	wall := time.Since(start)
-	if err := c.Shutdown(); err != nil {
+	if err := errors.Join(perr, c.Shutdown()); err != nil {
 		return cluster.Stats{}, 0, err
-	}
-	if firstErr != nil {
-		return cluster.Stats{}, 0, firstErr
 	}
 	return c.Stats(), wall, nil
 }

@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/iostrat"
-	"repro/internal/meta"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/chunk"
@@ -17,17 +16,6 @@ import (
 
 // r1Rates are the node-failure rates swept by the runtime restore side.
 var r1Rates = []float64{0, 0.25}
-
-// r1ClusterMeta mirrors F1's per-node configuration: one 512-byte
-// variable per client, so block counts are easy to reason about.
-const r1ClusterMeta = `<simulation name="r1">
-  <architecture><dedicated cores="1"/><buffer size="1048576"/></architecture>
-  <data>
-    <parameter name="n" value="64"/>
-    <layout name="row" type="float64" dimensions="n"/>
-    <variable name="theta" layout="row"/>
-  </data>
-</simulation>`
 
 // RunR1 exercises the object read path end to end (ROADMAP "object
 // read path" item): a runtime cluster writes N iterations of objects
@@ -260,13 +248,11 @@ func r1Store(opts Options, run int) (storage.Backend, error) {
 // its stats; the objects and manifests stay behind in store for the
 // restore pass.
 func runR1Cluster(nodes, clients, iters int, sched *cluster.FailureSchedule, store storage.ObjectStore) (cluster.Stats, error) {
-	cfg, err := meta.ParseString(r1ClusterMeta)
-	if err != nil {
-		return cluster.Stats{}, err
-	}
 	c, err := cluster.New(cluster.Config{
 		Platform: topology.Platform{Name: "r1", Nodes: nodes, CoresPerNode: clients + 1},
-		Meta:     cfg,
+		// F1's configuration: one 512-byte variable per client, so block
+		// counts are easy to reason about.
+		Meta:     clusterMeta("r1", 64, 1<<20),
 		Fanout:   2,
 		Store:    store,
 		Failures: sched,
@@ -274,40 +260,8 @@ func runR1Cluster(nodes, clients, iters int, sched *cluster.FailureSchedule, sto
 	if err != nil {
 		return cluster.Stats{}, err
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	data := make([]byte, 64*8)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < clients; s++ {
-			wg.Add(1)
-			go func(n, s int) {
-				defer wg.Done()
-				cl := c.Client(n, s)
-				for it := 0; it < iters; it++ {
-					if err := cl.Write("theta", it, data); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("node %d src %d it %d: %w", n, s, it, err)
-						}
-						mu.Unlock()
-						return
-					}
-					cl.EndIteration(it)
-				}
-			}(n, s)
-		}
-	}
-	wg.Wait()
-	c.WaitIteration(iters - 1)
-	if err := c.Shutdown(); err != nil {
+	if err := errors.Join(produce(c, iters, fixedPayload(rampBlock())), c.Shutdown()); err != nil {
 		return cluster.Stats{}, err
-	}
-	if firstErr != nil {
-		return cluster.Stats{}, firstErr
 	}
 	return c.Stats(), nil
 }

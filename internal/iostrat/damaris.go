@@ -347,16 +347,8 @@ func runDamaris(cfg Config) (Result, error) {
 					return
 				}
 				t0 := p.Now()
-				payload := item.bytes
-				if cfg.CompressRatio > 1 {
-					// Compression runs on the dedicated core: CPU time
-					// here, fewer bytes toward the file system, and no
-					// cost at all on the simulation side.
-					p.Wait(payload / cfg.CompressRate)
-					payload /= cfg.CompressRatio
-				}
 				files := cfg.FilesPerIter
-				per := payload / float64(files)
+				per := item.bytes / float64(files)
 				pat := storage.BigSequential
 				if per < 64e6 {
 					pat = storage.SmallFile
@@ -560,14 +552,6 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 		// past this iteration; its own volume joins when the merged
 		// subtree leaves the node.
 		tr.deliver(node, item.iter, 0, []int{node})
-		busy := 0.0
-		t0 := p.Now()
-		own := item.bytes
-		if cfg.CompressRatio > 1 && own > 0 {
-			p.Wait(own / cfg.CompressRate)
-			own /= cfg.CompressRatio
-		}
-		busy += p.Now() - t0
 
 		// Awaiting stragglers is idle time, not work. Only this
 		// iteration can be released here: every other pending merge at
@@ -581,7 +565,7 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 			tr.waiting[node] = tr.eng.NewFuture()
 			p.Await(tr.waiting[node])
 		}
-		subtree := own + e.Payload
+		subtree := item.bytes + e.Payload
 
 		t1 := p.Now()
 		if e.Kind == cluster.EmitForward {
@@ -654,9 +638,8 @@ func (tr *treeRun) runNode(p *des.Proc, shm *nodeShm, node int) {
 				tr.publishInSitu(p, ord, shmIter{iter: item.iter, bytes: subtree})
 			}
 		}
-		busy += p.Now() - t1
+		res.DedicatedBusy += p.Now() - t1
 		shm.free(item.bytes)
-		res.DedicatedBusy += busy
 	}
 }
 

@@ -184,22 +184,13 @@ type Config struct {
 	// FilesPerIter is the number of files each dedicated core writes per
 	// iteration (default 1; the A2 ablation sweeps it).
 	FilesPerIter int
-	// CompressRatio, when > 1, makes the dedicated core compress the
-	// node's output before writing: bytes on storage shrink by the ratio
-	// and the core spends bytes/CompressRate seconds of CPU on it (E5).
-	CompressRatio float64
-	// CompressRate is the dedicated-core compression speed in bytes/s
-	// (default 400 MB/s).
-	CompressRate float64
 	// Codec enables the storage-layer compression pipeline: the backend
 	// is wrapped in storage.Compressing, so every Write/Read charges
 	// real per-codec CPU rates on the dedicated cores and moves only
 	// the encoded volume (and, on backends that persist objects, real
 	// payloads are framed and encoded). "" or "none" disables it; a
 	// codec name fixes the codec; storage.AdaptiveCodec lets the
-	// selector choose. Codec supersedes the abstract CompressRatio knob
-	// — setting both resets CompressRatio to 1 so the cost is not
-	// charged twice.
+	// selector choose.
 	Codec string
 	// Dedup wraps the backend in the content-addressed chunk store
 	// (internal/storage/chunk), outermost — dedup sees raw payload
@@ -292,19 +283,8 @@ func (c Config) withDefaults() Config {
 	if c.FilesPerIter == 0 {
 		c.FilesPerIter = 1
 	}
-	if c.CompressRatio == 0 {
-		c.CompressRatio = 1
-	}
-	if c.CompressRate == 0 {
-		c.CompressRate = 400e6
-	}
 	if c.Codec == "none" {
 		c.Codec = ""
-	}
-	if c.Codec != "" {
-		// The pipeline prices compression inside the backend; the legacy
-		// per-strategy knob must not charge it a second time.
-		c.CompressRatio = 1
 	}
 	if c.CollectiveBuffer == 0 {
 		c.CollectiveBuffer = 16e6

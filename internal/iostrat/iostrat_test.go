@@ -264,10 +264,9 @@ func TestCodecPipelineWiring(t *testing.T) {
 		t.Fatal("unknown codec must error")
 	}
 
-	// "none" is a disable alias, and Codec supersedes CompressRatio.
+	// "none" is a disable alias.
 	alias := cfg
 	alias.Codec = "none"
-	alias.CompressRatio = 6
 	al, err := Run(Damaris, alias)
 	if err != nil {
 		t.Fatal(err)

@@ -123,17 +123,26 @@ func TestDamarisTreeWithScheduling(t *testing.T) {
 	}
 }
 
+// TestDamarisTreeCompression: with a codec, tree mode and flat mode
+// (Fanout < 2) both store exactly raw / AssumedRatio bytes.
 func TestDamarisTreeCompression(t *testing.T) {
-	cfg := treeConfig()
-	cfg.CompressRatio = 2
-	res, err := Run(Damaris, cfg)
-	if err != nil {
-		t.Fatal(err)
+	prof, ok := storage.Profile("gorilla")
+	if !ok {
+		t.Fatal("gorilla profile missing")
 	}
-	want := cfg.Workload.NodeBytes(cfg.Platform.CoresPerNode) *
-		float64(cfg.Platform.Nodes) * float64(cfg.Workload.Iterations) / 2
-	if res.BytesWritten < want*0.999 || res.BytesWritten > want*1.001 {
-		t.Errorf("compressed tree mode wrote %v bytes, want %v", res.BytesWritten, want)
+	for _, fanout := range []int{4, 0} {
+		cfg := treeConfig()
+		cfg.Fanout = fanout
+		cfg.Codec = "gorilla"
+		res, err := Run(Damaris, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cfg.Workload.NodeBytes(cfg.Platform.CoresPerNode) *
+			float64(cfg.Platform.Nodes) * float64(cfg.Workload.Iterations) / prof.AssumedRatio
+		if res.BytesWritten < want*0.999 || res.BytesWritten > want*1.001 {
+			t.Errorf("fanout %d: compressed run wrote %v bytes, want %v", fanout, res.BytesWritten, want)
+		}
 	}
 }
 

@@ -6,21 +6,17 @@ import (
 	"repro/internal/storage"
 )
 
-// Example_subscribe wraps a backend with the streaming face, attaches
-// a bounded subscriber, and receives each stored object live — the
-// consumer side of the in-situ pipeline (see docs/STREAMING.md).
+// Example_subscribe attaches a bounded subscriber to a stream hub and
+// receives each published frame live — the consumer side of the
+// in-situ pipeline (see docs/STREAMING.md).
 func Example_subscribe() {
-	st := storage.NewStreaming(storage.NewMemory(nil, 4, 1e9))
-	sub := st.Subscribe(storage.SubOptions{Buffer: 4, Policy: storage.DropOldest})
+	s := storage.NewStream()
+	sub := s.Subscribe(storage.SubOptions{Buffer: 4, Policy: storage.DropOldest})
 
 	for it := 0; it < 3; it++ {
-		name := fmt.Sprintf("job-root000-it%06d", it)
-		if err := st.Put(name, []byte{byte(it)}); err != nil {
-			fmt.Println("put:", err)
-			return
-		}
+		s.Publish(fmt.Sprintf("stream-it%06d", it), []byte{byte(it)})
 	}
-	st.CloseStream()
+	s.Close()
 
 	for {
 		msg, err := sub.Recv()
@@ -30,7 +26,7 @@ func Example_subscribe() {
 		fmt.Printf("seq %d: %s (%d bytes)\n", msg.Seq, msg.Name, len(msg.Data))
 	}
 	// Output:
-	// seq 1: job-root000-it000000 (1 bytes)
-	// seq 2: job-root000-it000001 (1 bytes)
-	// seq 3: job-root000-it000002 (1 bytes)
+	// seq 1: stream-it000000 (1 bytes)
+	// seq 2: stream-it000001 (1 bytes)
+	// seq 3: stream-it000002 (1 bytes)
 }

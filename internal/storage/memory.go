@@ -124,14 +124,6 @@ func (m *simModel) transfer(p *des.Proc, target int, bytes float64, pat Pattern,
 	t.Release(1)
 }
 
-func (m *simModel) write(p *des.Proc, target int, bytes float64, pat Pattern, overhead float64) {
-	m.transfer(p, target, bytes, pat, overhead, false)
-}
-
-func (m *simModel) read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	m.transfer(p, target, bytes, pat, m.overhead, true)
-}
-
 func (m *simModel) transferAsync(target int, bytes float64, pat Pattern, read bool) *des.Future {
 	f := m.eng.NewFuture()
 	if bytes <= 0 {
@@ -145,12 +137,57 @@ func (m *simModel) transferAsync(target int, bytes float64, pat Pattern, read bo
 	return f
 }
 
-func (m *simModel) writeAsync(target int, bytes float64, pat Pattern) *des.Future {
+// The Backend methods below are promoted through the *simModel that
+// Memory and SDF embed; each backend adds only its Name.
+
+// Targets implements Backend.
+func (m *simModel) Targets() int { return m.targetCount() }
+
+// BeginPhase implements Backend (no congestion model: nothing to draw).
+func (m *simModel) BeginPhase() {}
+
+// Create implements Backend.
+func (m *simModel) Create(p *des.Proc) {
+	m.mu.Lock()
+	m.files++
+	m.mu.Unlock()
+	m.metaOp(p)
+}
+
+// Open implements Backend.
+func (m *simModel) Open(p *des.Proc) { m.metaOp(p) }
+
+// Close implements Backend.
+func (m *simModel) Close(p *des.Proc) { m.metaOp(p) }
+
+// Write implements Backend.
+func (m *simModel) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
+	m.transfer(p, target, bytes, pat, m.overhead, false)
+}
+
+// WriteChunk implements Backend.
+func (m *simModel) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
+	m.transfer(p, target, bytes, pat, 0, false)
+}
+
+// WriteAsync implements Backend.
+func (m *simModel) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
 	return m.transferAsync(target, bytes, pat, false)
 }
 
-func (m *simModel) readAsync(target int, bytes float64, pat Pattern) *des.Future {
+// Read implements Backend.
+func (m *simModel) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
+	m.transfer(p, target, bytes, pat, m.overhead, true)
+}
+
+// ReadAsync implements Backend.
+func (m *simModel) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
 	return m.transferAsync(target, bytes, pat, true)
+}
+
+// PlaceFile implements Backend: a reproducible random draw of targets.
+func (m *simModel) PlaceFile(stripes int, r *rng.Stream) []int {
+	return placeUniform(m.targetCount(), stripes, r)
 }
 
 func (m *simModel) accounting() Accounting {
@@ -183,7 +220,7 @@ type Memory struct {
 
 // NewMemory builds a memory backend with the given number of targets
 // and per-target bandwidth. eng may be nil when only the object face
-// (Put/Object) is used.
+// (Put/Get) is used.
 func NewMemory(eng *des.Engine, targets int, bandwidth float64) *Memory {
 	return &Memory{
 		simModel: newSimModel(eng, targets, bandwidth),
@@ -193,56 +230,6 @@ func NewMemory(eng *des.Engine, targets int, bandwidth float64) *Memory {
 
 // Name implements Backend.
 func (b *Memory) Name() string { return string(KindMemory) }
-
-// Targets implements Backend.
-func (b *Memory) Targets() int { return b.targetCount() }
-
-// BeginPhase implements Backend (no congestion model: nothing to draw).
-func (b *Memory) BeginPhase() {}
-
-// Create implements Backend.
-func (b *Memory) Create(p *des.Proc) {
-	b.mu.Lock()
-	b.files++
-	b.mu.Unlock()
-	b.metaOp(p)
-}
-
-// Open implements Backend.
-func (b *Memory) Open(p *des.Proc) { b.metaOp(p) }
-
-// Close implements Backend.
-func (b *Memory) Close(p *des.Proc) { b.metaOp(p) }
-
-// Write implements Backend.
-func (b *Memory) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, b.overhead)
-}
-
-// WriteChunk implements Backend.
-func (b *Memory) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, 0)
-}
-
-// WriteAsync implements Backend.
-func (b *Memory) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.writeAsync(target, bytes, pat)
-}
-
-// Read implements Backend.
-func (b *Memory) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.read(p, target, bytes, pat)
-}
-
-// ReadAsync implements Backend.
-func (b *Memory) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.readAsync(target, bytes, pat)
-}
-
-// PlaceFile implements Backend: a reproducible random draw of targets.
-func (b *Memory) PlaceFile(stripes int, r *rng.Stream) []int {
-	return placeUniform(b.targetCount(), stripes, r)
-}
 
 // Put implements ObjectStore: the object is kept in memory.
 func (b *Memory) Put(name string, data []byte) error {
@@ -305,19 +292,6 @@ func (b *Memory) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Object returns a stored object's bytes (the pre-Get boolean API, kept
-// for existing callers).
-func (b *Memory) Object(name string) ([]byte, bool) {
-	d, err := b.Get(name)
-	return d, err == nil
-}
-
-// ObjectNames returns the names of all stored objects.
-func (b *Memory) ObjectNames() []string {
-	names, _ := b.List("")
-	return names
 }
 
 // Accounting implements Backend.

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/meta"
-	"repro/internal/rng"
 	"repro/internal/sdf"
 )
 
@@ -57,56 +56,6 @@ func (b *SDF) Dir() string { return b.dir }
 
 // Name implements Backend.
 func (b *SDF) Name() string { return string(KindSDF) }
-
-// Targets implements Backend.
-func (b *SDF) Targets() int { return b.targetCount() }
-
-// BeginPhase implements Backend.
-func (b *SDF) BeginPhase() {}
-
-// Create implements Backend.
-func (b *SDF) Create(p *des.Proc) {
-	b.mu.Lock()
-	b.files++
-	b.mu.Unlock()
-	b.metaOp(p)
-}
-
-// Open implements Backend.
-func (b *SDF) Open(p *des.Proc) { b.metaOp(p) }
-
-// Close implements Backend.
-func (b *SDF) Close(p *des.Proc) { b.metaOp(p) }
-
-// Write implements Backend.
-func (b *SDF) Write(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, b.overhead)
-}
-
-// WriteChunk implements Backend.
-func (b *SDF) WriteChunk(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.write(p, target, bytes, pat, 0)
-}
-
-// WriteAsync implements Backend.
-func (b *SDF) WriteAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.writeAsync(target, bytes, pat)
-}
-
-// Read implements Backend.
-func (b *SDF) Read(p *des.Proc, target int, bytes float64, pat Pattern) {
-	b.read(p, target, bytes, pat)
-}
-
-// ReadAsync implements Backend.
-func (b *SDF) ReadAsync(target int, bytes float64, pat Pattern) *des.Future {
-	return b.readAsync(target, bytes, pat)
-}
-
-// PlaceFile implements Backend.
-func (b *SDF) PlaceFile(stripes int, r *rng.Stream) []int {
-	return placeUniform(b.targetCount(), stripes, r)
-}
 
 // PutVec implements VecStore. The SDF container needs one contiguous
 // dataset, so the segments are gathered once here — the same single
@@ -279,25 +228,6 @@ func (b *SDF) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Object reads a stored object back from its SDF file (the pre-Get
-// boolean API, kept for existing callers).
-func (b *SDF) Object(name string) ([]byte, bool) {
-	data, err := b.Get(name)
-	if err != nil {
-		return nil, false
-	}
-	if data == nil {
-		data = []byte{}
-	}
-	return data, true
-}
-
-// ObjectNames lists the stored objects.
-func (b *SDF) ObjectNames() []string {
-	names, _ := b.List("")
-	return names
 }
 
 func (b *SDF) objectPath(name string) string {
